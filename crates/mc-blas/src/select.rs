@@ -6,9 +6,10 @@
 //!    strategies, always including the static planner's pick and the
 //!    SIMD-only executor;
 //! 2. [`crate::planner::build_plan`] — each candidate compiles to a
-//!    kernel and passes the static verifier; candidates with
-//!    error-severity lint findings are discarded (counted in
-//!    [`SearchOutcome::lint_rejected`]);
+//!    kernel and passes the static and dataflow verifiers; candidates
+//!    with error-severity lint or flow findings are discarded (counted
+//!    in [`SearchOutcome::lint_rejected`] and
+//!    [`SearchOutcome::flow_rejected`]);
 //! 3. [`crate::score::analytic_time_s`] — the Eq. 2 analytic model
 //!    ranks the survivors;
 //! 4. [`crate::score::dry_run_time_s`] — the top [`DRY_RUN_TOP_K`]

@@ -42,7 +42,7 @@
 #![deny(missing_docs)]
 
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 use mc_isa::specs::DieSpec;
 use mc_isa::walk::{steady_passes, PassKind};
@@ -301,9 +301,10 @@ fn section_of(kind: PassKind) -> Section {
 /// Flattens the steady-state walk into one event stream with barrier
 /// intervals assigned.
 fn collect_events(k: &KernelDesc) -> Vec<Event<'_>> {
-    let mut events = Vec::new();
+    let passes = steady_passes(&k.program, FLOW_UNROLL);
+    let mut events = Vec::with_capacity(passes.iter().map(|p| p.ops.len()).sum());
     let mut phase = 0u32;
-    for pass in steady_passes(&k.program, FLOW_UNROLL) {
+    for pass in passes {
         let section = section_of(pass.kind);
         for (slot, op) in pass.ops.iter().enumerate() {
             events.push(Event {
@@ -372,8 +373,10 @@ fn check_races(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
     }
     let mut seen: HashSet<(FlowRule, Span, Span)> = HashSet::new();
     for (i, a) in accesses.iter().enumerate() {
-        for b in accesses.iter().skip(i + 1) {
-            if a.phase != b.phase || a.buffer != b.buffer || a.stage != b.stage {
+        // Barrier intervals are contiguous in walk order, so a's partners
+        // all sit in the run of accesses sharing its phase.
+        for b in accesses[i + 1..].iter().take_while(|b| b.phase == a.phase) {
+            if a.buffer != b.buffer || a.stage != b.stage {
                 continue;
             }
             let rule = match (a.write, b.write) {
@@ -415,29 +418,33 @@ fn check_races(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
 
 fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
     // Outstanding op event indices per counter class, in issue order
-    // (both counters retire strictly in order on GCN).
-    let mut outstanding: HashMap<CounterClass, Vec<usize>> = HashMap::new();
-    outstanding.insert(CounterClass::Vm, Vec::new());
-    outstanding.insert(CounterClass::Lgkm, Vec::new());
-    let mut last_load: Option<usize> = None;
-    let mut last_producer: Option<usize> = None;
+    // (both counters retire strictly in order on GCN), indexed by
+    // `CounterClass as usize`.
+    let mut outstanding: [VecDeque<usize>; 2] = Default::default();
+    // Producers carry the class they were queued on. Each queue holds
+    // ascending indices and retires from the front, so a producer is
+    // still pending exactly when its queue's oldest entry is not newer.
+    let mut last_load: Option<(usize, CounterClass)> = None;
+    let mut last_producer: Option<(usize, CounterClass)> = None;
     let mut seen: HashSet<(FlowRule, Span)> = HashSet::new();
-    let pending = |outstanding: &HashMap<CounterClass, Vec<usize>>, idx: usize| {
-        outstanding.values().any(|v| v.contains(&idx))
+    let pending = |outstanding: &[VecDeque<usize>; 2], (idx, class): (usize, CounterClass)| {
+        outstanding[class as usize]
+            .front()
+            .is_some_and(|&oldest| oldest <= idx)
     };
     for (idx, ev) in events.iter().enumerate() {
         match ev.op {
             SlotOp::GlobalLoad { counter, .. } => {
-                outstanding.get_mut(counter).unwrap().push(idx);
-                last_load = Some(idx);
-                last_producer = Some(idx);
+                outstanding[*counter as usize].push_back(idx);
+                last_load = Some((idx, *counter));
+                last_producer = last_load;
             }
             SlotOp::GlobalStore { counter, .. } => {
-                outstanding.get_mut(counter).unwrap().push(idx);
+                outstanding[*counter as usize].push_back(idx);
             }
             SlotOp::LdsRead { .. } => {
-                outstanding.get_mut(&CounterClass::Lgkm).unwrap().push(idx);
-                last_producer = Some(idx);
+                outstanding[CounterClass::Lgkm as usize].push_back(idx);
+                last_producer = Some((idx, CounterClass::Lgkm));
             }
             SlotOp::LdsWrite { .. } => {
                 if let Some(p) = last_load {
@@ -451,28 +458,27 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
                                 format!(
                                     "lds write stages data from the global load at {} before \
                                      any s_waitcnt retires it",
-                                    events[p].span
+                                    events[p.0].span
                                 ),
                             )
                             .with_help("insert `Waitcnt(WaitSpec::vm(0))` before the lds write"),
                         );
                     }
                 }
-                outstanding.get_mut(&CounterClass::Lgkm).unwrap().push(idx);
+                outstanding[CounterClass::Lgkm as usize].push_back(idx);
             }
             SlotOp::Waitcnt(spec) => {
                 for class in [CounterClass::Vm, CounterClass::Lgkm] {
                     if spec.bounds(class) {
                         let bound = usize::from(spec.bound(class));
-                        let queue = outstanding.get_mut(&class).unwrap();
-                        while queue.len() > bound {
-                            queue.remove(0);
-                        }
+                        let queue = &mut outstanding[class as usize];
+                        let retired = queue.len().saturating_sub(bound);
+                        queue.drain(..retired);
                     }
                 }
             }
             SlotOp::Barrier => {
-                let lgkm = &outstanding[&CounterClass::Lgkm];
+                let lgkm = &outstanding[CounterClass::Lgkm as usize];
                 if !lgkm.is_empty() && seen.insert((FlowRule::BarrierLgkmPending, ev.span)) {
                     diags.push(
                         FlowDiagnostic::new(
@@ -495,7 +501,7 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
                     if pending(&outstanding, p)
                         && seen.insert((FlowRule::InsufficientWaitcnt, ev.span))
                     {
-                        let (class, mnem) = match events[p].op {
+                        let (class, mnem) = match events[p.0].op {
                             SlotOp::LdsRead { .. } => ("lgkmcnt", "lds read"),
                             _ => ("vmcnt", "global load"),
                         };
@@ -506,7 +512,7 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
                                 format!(
                                     "consumer reads data from the {mnem} at {} before any \
                                      s_waitcnt retires it on {class}",
-                                    events[p].span
+                                    events[p.0].span
                                 ),
                             )
                             .with_help(format!(
@@ -522,27 +528,53 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
     }
 }
 
+/// The stages read from each LDS buffer, one 256-bit set per buffer
+/// (stage indices are `u8`). Kernels touch a handful of buffers, so a
+/// linear scan beats hashing.
+#[derive(Default)]
+struct StageSets(Vec<(u8, [u64; 4])>);
+
+impl StageSets {
+    fn insert(&mut self, buffer: u8, stage: u8) {
+        let idx = match self.0.iter().position(|(b, _)| *b == buffer) {
+            Some(idx) => idx,
+            None => {
+                self.0.push((buffer, [0; 4]));
+                self.0.len() - 1
+            }
+        };
+        self.0[idx].1[usize::from(stage / 64)] |= 1 << (stage % 64);
+    }
+
+    fn contains(&self, buffer: u8, stage: u8) -> bool {
+        self.0
+            .iter()
+            .find(|(b, _)| *b == buffer)
+            .is_some_and(|(_, bits)| bits[usize::from(stage / 64)] & (1 << (stage % 64)) != 0)
+    }
+}
+
 fn check_dead_stores(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
-    let mut read_stages: HashMap<u8, HashSet<u8>> = HashMap::new();
+    let mut read_stages = StageSets::default();
     for ev in events {
         if let SlotOp::LdsRead { access, .. } = ev.op {
-            read_stages
-                .entry(access.buffer)
-                .or_default()
-                .extend(access.stage.stage_set());
+            for stage in access.stage.stage_set() {
+                read_stages.insert(access.buffer, stage);
+            }
         }
     }
-    let mut seen: HashSet<Span> = HashSet::new();
     for ev in events {
         if let SlotOp::LdsWrite { access, .. } = ev.op {
-            if !seen.insert(ev.span) {
+            // A verdict depends on the static tag only, so judge each
+            // slot at its first occurrence: every section's first pass
+            // walks iteration 0.
+            if ev.iteration != 0 {
                 continue;
             }
-            let reads = read_stages.get(&access.buffer);
             let live = access
                 .stage
                 .stage_set()
-                .any(|s| reads.is_some_and(|r| r.contains(&s)));
+                .any(|s| read_stages.contains(access.buffer, s));
             if !live {
                 diags.push(
                     FlowDiagnostic::new(
@@ -636,16 +668,22 @@ fn check_max_live(
             counted: true,
         });
     }
-    let peak = (0..events.len())
-        .map(|t| {
-            intervals
-                .iter()
-                .filter(|iv| iv.counted && iv.start <= t && t < iv.end)
-                .map(|iv| iv.vgprs)
-                .sum::<u32>()
+    // Sweep line over the interval endpoints: `delta[t]` is the change in
+    // live VGPRs at event `t`, so its running sum is the live set.
+    let mut delta = vec![0i64; events.len() + 1];
+    for iv in intervals.iter().filter(|iv| iv.counted) {
+        delta[iv.start] += i64::from(iv.vgprs);
+        delta[iv.end] -= i64::from(iv.vgprs);
+    }
+    let mut live = 0i64;
+    let peak = delta[..events.len()]
+        .iter()
+        .map(|d| {
+            live += d;
+            live
         })
         .max()
-        .unwrap_or(0);
+        .map_or(0, |p| u32::try_from(p).expect("live VGPRs fit in u32"));
     let req_arch = events
         .iter()
         .filter_map(|ev| match ev.op {

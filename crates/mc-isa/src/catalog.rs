@@ -19,9 +19,24 @@ use crate::shape::MfmaShape;
 pub struct IsaCatalog {
     arch: MatrixArch,
     instructions: Vec<MatrixInstruction>,
+    /// Lowercase mnemonic of each instruction, index-aligned with
+    /// `instructions`, so lookups by name allocate nothing.
+    mnemonics: Vec<String>,
 }
 
 impl IsaCatalog {
+    fn new(arch: MatrixArch, instructions: Vec<MatrixInstruction>) -> Self {
+        let mnemonics = instructions
+            .iter()
+            .map(|i| i.mnemonic().to_ascii_lowercase())
+            .collect();
+        IsaCatalog {
+            arch,
+            instructions,
+            mnemonics,
+        }
+    }
+
     /// The architecture this catalog describes.
     pub fn arch(&self) -> MatrixArch {
         self.arch
@@ -48,12 +63,13 @@ impl IsaCatalog {
         })
     }
 
-    /// Finds an instruction by its mnemonic (case-insensitive).
+    /// Finds an instruction by its mnemonic (case-insensitive). The
+    /// first entry in ISA-reference order wins.
     pub fn by_mnemonic(&self, mnemonic: &str) -> Option<&MatrixInstruction> {
-        let want = mnemonic.to_ascii_lowercase();
-        self.instructions
+        self.mnemonics
             .iter()
-            .find(|i| i.mnemonic().to_ascii_lowercase() == want)
+            .position(|m| m.eq_ignore_ascii_case(mnemonic))
+            .map(|idx| &self.instructions[idx])
     }
 
     /// `true` if any instruction supports this type pair — e.g. CDNA2 has
@@ -169,10 +185,7 @@ pub fn cdna2_catalog() -> &'static IsaCatalog {
             mfma(F64, F64, 16, 16, 4, 1, 32, f),
             mfma(F64, F64, 4, 4, 4, 4, 16, f),
         ];
-        IsaCatalog {
-            arch: MatrixArch::Cdna2,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Cdna2, instructions)
     })
 }
 
@@ -213,10 +226,7 @@ pub fn cdna1_catalog() -> &'static IsaCatalog {
         for i in &mut instructions {
             i.arch = MatrixArch::Cdna1;
         }
-        IsaCatalog {
-            arch: MatrixArch::Cdna1,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Cdna1, instructions)
     })
 }
 
@@ -244,10 +254,7 @@ pub fn ampere_catalog() -> &'static IsaCatalog {
             mma(I32, I8, 16, 8, 16, 4),
             mma(I32, I8, 16, 8, 32, 8),
         ];
-        IsaCatalog {
-            arch: MatrixArch::Ampere,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Ampere, instructions)
     })
 }
 
@@ -350,6 +357,30 @@ mod tests {
         let i = c.by_mnemonic("V_MFMA_F64_16X16X4F64").unwrap();
         assert_eq!(i.latency_cycles, 32);
         assert!(c.by_mnemonic("v_mfma_f16_16x16x16f16").is_none());
+    }
+
+    /// Pins the allocation-free lookup to first-match semantics: for
+    /// every entry of every catalog, the lookup by its mnemonic (in
+    /// either case) returns the first entry carrying that mnemonic.
+    #[test]
+    fn by_mnemonic_returns_the_first_match_in_any_case() {
+        for c in [cdna1_catalog(), cdna2_catalog(), ampere_catalog()] {
+            for e in c.instructions() {
+                let name = e.mnemonic();
+                let first = c
+                    .instructions()
+                    .iter()
+                    .find(|i| i.mnemonic() == name)
+                    .unwrap();
+                for query in [name.clone(), name.to_ascii_uppercase()] {
+                    let hit = c.by_mnemonic(&query).unwrap();
+                    assert!(std::ptr::eq(hit, first), "{query} on {}", c.arch());
+                }
+            }
+            assert!(c.by_mnemonic("v_mfma_f32_13x13x13f16").is_none());
+            assert!(c.by_mnemonic("").is_none());
+            assert!(c.by_mnemonic("v_mfma_f64_16x16x4f64 ").is_none());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use mc_isa::encoding::{self, MfmaEncoding, Reg};
 use mc_isa::specs::DieSpec;
-use mc_isa::{KernelDesc, MatrixArch, MatrixInstruction, SlotOp};
+use mc_isa::{IsaCatalog, KernelDesc, MatrixArch, MatrixInstruction, SlotOp};
 
 use crate::{catalog_for, required_snop_gap, Diagnostic, LintReport, RuleId, Section, Span};
 
@@ -55,79 +55,97 @@ fn check_shape(k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+/// MFMA legality, one check per *distinct* instruction.
+///
+/// A verdict is a pure function of `(die, instr)`, and a wave tile
+/// issues the same MFMA in many slots, so each distinct instruction is
+/// resolved against the catalog (and round-tripped) once per kernel and
+/// its finding replayed at every slot that issues it, in slot order.
 fn check_legality(die: &DieSpec, k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
     let catalog = catalog_for(die.arch);
+    let mut verdicts: Vec<(MatrixInstruction, Option<Diagnostic>)> = Vec::new();
     for (span, op) in slots(k) {
         let SlotOp::Mfma(instr) = op else { continue };
-        if instr.arch != die.arch {
-            diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaWrongArch,
-                    Some(span),
-                    format!(
-                        "`{}` is a {} instruction but the target die is {}",
-                        instr.mnemonic(),
-                        instr.arch,
-                        die.arch
-                    ),
-                )
-                .with_help(format!(
-                    "select the instruction from the {} catalog instead",
+        let idx = match verdicts.iter().position(|(i, _)| i == instr) {
+            Some(idx) => idx,
+            None => {
+                verdicts.push((*instr, legality(die, catalog, instr)));
+                verdicts.len() - 1
+            }
+        };
+        if let Some(d) = &verdicts[idx].1 {
+            diags.push(Diagnostic {
+                span: Some(span),
+                ..d.clone()
+            });
+        }
+    }
+}
+
+/// The legality finding for one instruction on one die, without a span.
+fn legality(die: &DieSpec, catalog: &IsaCatalog, instr: &MatrixInstruction) -> Option<Diagnostic> {
+    if instr.arch != die.arch {
+        return Some(
+            Diagnostic::error(
+                RuleId::MfmaWrongArch,
+                None,
+                format!(
+                    "`{}` is a {} instruction but the target die is {}",
+                    instr.mnemonic(),
+                    instr.arch,
                     die.arch
-                )),
-            );
-            continue;
-        }
-        match catalog.by_mnemonic(&instr.mnemonic()) {
-            None => diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaUnknownInstruction,
-                    Some(span),
-                    format!(
-                        "`{}` does not resolve in the {} instruction catalog",
-                        instr.mnemonic(),
-                        die.arch
-                    ),
-                )
-                .with_help(
-                    "only the shapes of the paper's Table I exist in hardware; \
-                     pick the instruction via the catalog, not by hand",
                 ),
-            ),
-            Some(entry) if entry != instr => diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaLatencyMismatch,
-                    Some(span),
-                    format!(
-                        "`{}` disagrees with its catalog entry \
-                         (declared {} cycles / {} block(s), catalog says {} / {})",
-                        instr.mnemonic(),
-                        instr.latency_cycles,
-                        instr.shape.blocks,
-                        entry.latency_cycles,
-                        entry.shape.blocks
-                    ),
-                )
-                .with_help(
-                    "a tampered descriptor silently skews every throughput model \
-                     (paper Table II); copy the catalog entry verbatim",
+            )
+            .with_help(format!(
+                "select the instruction from the {} catalog instead",
+                die.arch
+            )),
+        );
+    }
+    match catalog.by_mnemonic(&instr.mnemonic()) {
+        None => Some(
+            Diagnostic::error(
+                RuleId::MfmaUnknownInstruction,
+                None,
+                format!(
+                    "`{}` does not resolve in the {} instruction catalog",
+                    instr.mnemonic(),
+                    die.arch
                 ),
+            )
+            .with_help(
+                "only the shapes of the paper's Table I exist in hardware; \
+                 pick the instruction via the catalog, not by hand",
             ),
-            Some(entry) => check_roundtrip(die, entry, span, diags),
-        }
+        ),
+        Some(entry) if entry != instr => Some(
+            Diagnostic::error(
+                RuleId::MfmaLatencyMismatch,
+                None,
+                format!(
+                    "`{}` disagrees with its catalog entry \
+                     (declared {} cycles / {} block(s), catalog says {} / {})",
+                    instr.mnemonic(),
+                    instr.latency_cycles,
+                    instr.shape.blocks,
+                    entry.latency_cycles,
+                    entry.shape.blocks
+                ),
+            )
+            .with_help(
+                "a tampered descriptor silently skews every throughput model \
+                 (paper Table II); copy the catalog entry verbatim",
+            ),
+        ),
+        Some(entry) => check_roundtrip(die, entry),
     }
 }
 
 /// On CDNA2, every catalogued MFMA must survive the VOP3P-MAI
 /// encode/decode round-trip of `mc_isa::encoding`.
-fn check_roundtrip(
-    die: &DieSpec,
-    entry: &MatrixInstruction,
-    span: Span,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_roundtrip(die: &DieSpec, entry: &MatrixInstruction) -> Option<Diagnostic> {
     if die.arch != MatrixArch::Cdna2 {
-        return;
+        return None;
     }
     let src1 = u8::try_from(entry.a_vgprs_per_lane().min(255)).unwrap_or(0);
     let round = encoding::encode_instance(entry, Reg::A(0), Reg::V(0), Reg::V(src1), Reg::A(0))
@@ -136,23 +154,24 @@ fn check_roundtrip(
         Ok((enc, back)) => back == enc && back.mnemonic() == entry.mnemonic(),
         Err(_) => false,
     };
-    if !ok {
-        let detail = match round {
-            Ok(_) => "decoded word differs from the encoded instance".to_owned(),
-            Err(e) => e.to_string(),
-        };
-        diags.push(
-            Diagnostic::error(
-                RuleId::MfmaEncodingRoundtrip,
-                Some(span),
-                format!(
-                    "`{}` failed the VOP3P-MAI encode/decode round-trip: {detail}",
-                    entry.mnemonic()
-                ),
-            )
-            .with_help("the opcode table in mc_isa::encoding is out of sync with the catalog"),
-        );
+    if ok {
+        return None;
     }
+    let detail = match round {
+        Ok(_) => "decoded word differs from the encoded instance".to_owned(),
+        Err(e) => e.to_string(),
+    };
+    Some(
+        Diagnostic::error(
+            RuleId::MfmaEncodingRoundtrip,
+            None,
+            format!(
+                "`{}` failed the VOP3P-MAI encode/decode round-trip: {detail}",
+                entry.mnemonic()
+            ),
+        )
+        .with_help("the opcode table in mc_isa::encoding is out of sync with the catalog"),
+    )
 }
 
 /// One in-flight MFMA hazard window.
@@ -202,7 +221,12 @@ fn check_hazards(k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
             match op {
                 SlotOp::Mfma(instr) => {
                     if let Some(p) = &pending {
-                        if p.remaining > 0 && p.instr.mnemonic() != instr.mnemonic() {
+                        // Equal values share a mnemonic: format only when
+                        // the two instructions differ.
+                        if p.remaining > 0
+                            && p.instr != *instr
+                            && p.instr.mnemonic() != instr.mnemonic()
+                        {
                             let overlap =
                                 p.instr.cd_agprs_per_lane().min(instr.cd_agprs_per_lane());
                             emit(
@@ -610,6 +634,67 @@ mod tests {
             "{}",
             report.render()
         );
+    }
+
+    #[test]
+    fn legality_verdicts_replay_at_every_slot() {
+        let mut tampered = mixed();
+        tampered.latency_cycles = 4;
+        let mut k = clean_kernel();
+        k.program.body = vec![SlotOp::Mfma(tampered); 16];
+        let report = lint_kernel(&die(), &k);
+        let spans: Vec<Span> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule_id == RuleId::MfmaLatencyMismatch)
+            .map(|d| d.span.unwrap())
+            .collect();
+        let expected: Vec<Span> = (0..16)
+            .map(|slot| Span {
+                section: Section::Body,
+                slot,
+            })
+            .collect();
+        assert_eq!(spans, expected, "{}", report.render());
+
+        // Two different instructions each keep their own finding, at
+        // their own slots, in slot order.
+        let mut bogus = mixed();
+        bogus.shape = mc_isa::MfmaShape::new(13, 13, 13);
+        k.program.body = vec![
+            SlotOp::Mfma(tampered),
+            SlotOp::Mfma(mixed()),
+            SlotOp::Mfma(bogus),
+            SlotOp::Mfma(tampered),
+        ];
+        let report = lint_kernel(&die(), &k);
+        let legality: Vec<(RuleId, usize)> = report
+            .diagnostics
+            .iter()
+            .filter(|d| {
+                matches!(
+                    d.rule_id,
+                    RuleId::MfmaLatencyMismatch | RuleId::MfmaUnknownInstruction
+                )
+            })
+            .map(|d| (d.rule_id, d.span.unwrap().slot))
+            .collect();
+        assert_eq!(
+            legality,
+            [
+                (RuleId::MfmaLatencyMismatch, 0),
+                (RuleId::MfmaUnknownInstruction, 2),
+                (RuleId::MfmaLatencyMismatch, 3),
+            ],
+            "{}",
+            report.render()
+        );
+        let unknown = report
+            .diagnostics
+            .iter()
+            .find(|d| d.rule_id == RuleId::MfmaUnknownInstruction)
+            .unwrap();
+        assert!(unknown.message.contains("13x13x13"), "{}", unknown.message);
     }
 
     #[test]
