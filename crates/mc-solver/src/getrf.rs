@@ -3,12 +3,14 @@
 //! Right-looking blocked algorithm: factor a column panel with row
 //! pivoting on scalar arithmetic, apply the pivots across the matrix,
 //! triangular-solve the block row, then rank-`nb` update the trailing
-//! matrix through the [`mc_blas`] GEMM path.
+//! matrix through the [`mc_blas`] GEMM path. The panel's row swaps and
+//! rank-1 updates run on whole row slices, and the trailing update
+//! stages its operands in buffers reused across steps.
 
-use mc_blas::{run_functional, select_strategy, GemmDesc, GemmOp};
+use mc_blas::{host_gemm_backend, run_functional_with, select_strategy, GemmDesc, GemmOp};
 
 use crate::matrix::Matrix;
-use crate::trsm::trsm_left_lower;
+use crate::trsm::{solve_lower, trsm_left_lower};
 use crate::SolverError;
 
 /// The result of an LU factorization: `P·A = L·U` packed LAPACK-style
@@ -34,13 +36,7 @@ impl Lu {
         // Apply the pivots to b.
         let mut y = b.clone();
         for (k, &p) in self.ipiv.iter().enumerate() {
-            if p != k {
-                for col in 0..y.cols() {
-                    let t = y.get(k, col);
-                    y.set(k, col, y.get(p, col));
-                    y.set(p, col, t);
-                }
-            }
+            y.swap_rows(k, p);
         }
         // Forward (unit lower), then backward (upper).
         trsm_left_lower(&self.lu, &mut y, true)?;
@@ -60,14 +56,18 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
     let nb = block.max(1);
     let mut w = a.clone();
     let mut ipiv = vec![0usize; n];
+    // One GEMM dispatcher and staging buffers sized by the first step,
+    // reused by every step.
+    let backend = host_gemm_backend();
+    let (mut l21, mut u12) = (Vec::new(), Vec::new());
+    let (mut c, mut d) = (Vec::new(), Vec::new());
 
     let mut k = 0;
     while k < n {
         let b = nb.min(n - k);
 
         // 1. Panel factorization with partial pivoting over rows k..n.
-        #[allow(clippy::needless_range_loop)] // j indexes both w and ipiv
-        for j in k..k + b {
+        for (j, slot) in (k..k + b).zip(&mut ipiv[k..k + b]) {
             // Pivot search in column j, rows j..n.
             let mut piv = j;
             let mut best = w.get(j, j).abs();
@@ -81,21 +81,20 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
             if best == 0.0 {
                 return Err(SolverError::Singular { index: j });
             }
-            ipiv[j] = piv;
-            if piv != j {
-                for col in 0..n {
-                    let t = w.get(j, col);
-                    w.set(j, col, w.get(piv, col));
-                    w.set(piv, col, t);
-                }
-            }
-            // Scale the column and update the rest of the panel.
-            let d = w.get(j, j);
-            for i in j + 1..n {
-                let l = w.get(i, j) / d;
-                w.set(i, j, l);
-                for col in j + 1..k + b {
-                    w.set(i, col, w.get(i, col) - l * w.get(j, col));
+            *slot = piv;
+            w.swap_rows(j, piv);
+            // Scale the column and update the rest of the panel: each
+            // row below j takes its multiplier, then an axpy with the
+            // pivot row's panel segment.
+            let (top, below) = w.as_mut_slice().split_at_mut((j + 1) * n);
+            let pivot_row = &top[j * n..];
+            let pivot = pivot_row[j];
+            let u = &pivot_row[j + 1..k + b];
+            for row in below.chunks_exact_mut(n) {
+                let l = row[j] / pivot;
+                row[j] = l;
+                for (x, &uv) in row[j + 1..k + b].iter_mut().zip(u) {
+                    *x -= l * uv;
                 }
             }
         }
@@ -103,26 +102,26 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
         let rest = n - k - b;
         if rest > 0 {
             // 2. Block-row solve: U12 <- L11^-1 · A12 (unit lower).
-            let l11 = w.block(k, k, b, b);
-            let mut u12 = w.block(k, k + b, b, rest);
-            trsm_left_lower(&l11, &mut u12, true)?;
-            w.set_block(k, k + b, &u12);
+            w.gather(k, k + b, b, rest, &mut u12);
+            solve_lower(&backend, &w, k, &mut u12, rest, true)?;
+            w.scatter(k, k + b, rest, &u12);
 
             // 3. Trailing update: A22 <- A22 - L21 · U12 via GEMM.
-            let l21 = w.block(k + b, k, rest, b);
-            let trailing = w.block(k + b, k + b, rest, rest);
+            w.gather(k + b, k, rest, b, &mut l21);
+            w.gather(k + b, k + b, rest, rest, &mut c);
+            d.resize(rest * rest, 0.0);
             let desc = GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0);
-            let mut out = vec![0.0f64; rest * rest];
-            run_functional::<f64, f64, f64>(
+            run_functional_with::<f64, f64, f64>(
+                &backend,
                 &desc,
                 &select_strategy(&desc),
-                l21.as_slice(),
-                u12.as_slice(),
-                trailing.as_slice(),
-                &mut out,
+                &l21,
+                &u12,
+                &c,
+                &mut d,
             )
             .map_err(|e| SolverError::Blas(e.to_string()))?;
-            w.set_block(k + b, k + b, &Matrix::from_slice(rest, rest, &out));
+            w.scatter(k + b, k + b, rest, &d);
         }
         k += b;
     }

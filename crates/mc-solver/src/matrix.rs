@@ -87,13 +87,60 @@ impl<T: Real> Matrix<T> {
         &mut self.data
     }
 
-    /// Copies the block `[r0, r0+h) × [c0, c0+w)` into a new matrix.
-    pub fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix<T> {
+    /// Row `i` as a slice.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Swaps rows `i` and `j`.
+    pub(crate) fn swap_rows(&mut self, i: usize, j: usize) {
+        if i == j {
+            return;
+        }
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (top, bottom) = self.data.split_at_mut(hi * self.cols);
+        top[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut bottom[..self.cols]);
+    }
+
+    /// Copies the block `[r0, r0+h) × [c0, c0+w)` row by row into `out`
+    /// (cleared first, capacity kept), row-major with width `w`.
+    pub(crate) fn gather(&self, r0: usize, c0: usize, h: usize, w: usize, out: &mut Vec<T>) {
         assert!(
             r0 + h <= self.rows && c0 + w <= self.cols,
             "block out of range"
         );
-        Matrix::from_fn(h, w, |i, j| self.get(r0 + i, c0 + j))
+        out.clear();
+        for i in r0..r0 + h {
+            out.extend_from_slice(&self.row(i)[c0..c0 + w]);
+        }
+    }
+
+    /// Writes the row-major `w`-wide block `src` at `(r0, c0)`.
+    pub(crate) fn scatter(&mut self, r0: usize, c0: usize, w: usize, src: &[T]) {
+        if w == 0 {
+            return;
+        }
+        let h = src.len() / w;
+        assert!(
+            r0 + h <= self.rows && c0 + w <= self.cols,
+            "block out of range"
+        );
+        for (i, s) in src.chunks_exact(w).enumerate() {
+            let start = (r0 + i) * self.cols + c0;
+            self.data[start..start + w].copy_from_slice(s);
+        }
+    }
+
+    /// Copies the block `[r0, r0+h) × [c0, c0+w)` into a new matrix.
+    pub fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix<T> {
+        let mut data = Vec::with_capacity(h * w);
+        self.gather(r0, c0, h, w, &mut data);
+        Matrix {
+            rows: h,
+            cols: w,
+            data,
+        }
     }
 
     /// Writes `src` into the block at `(r0, c0)`.
@@ -102,16 +149,18 @@ impl<T: Real> Matrix<T> {
             r0 + src.rows <= self.rows && c0 + src.cols <= self.cols,
             "block out of range"
         );
-        for i in 0..src.rows {
-            for j in 0..src.cols {
-                self.set(r0 + i, c0 + j, src.get(i, j));
-            }
-        }
+        self.scatter(r0, c0, src.cols, &src.data);
     }
 
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix<T> {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
+        let mut data = Vec::with_capacity(self.data.len());
+        transpose_into(&self.data, self.rows, self.cols, &mut data);
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
     }
 
     /// Frobenius norm (computed in f64).
@@ -141,6 +190,16 @@ impl<T: Real> Matrix<T> {
     }
 }
 
+/// Writes the transpose of the row-major `rows × cols` matrix `src`
+/// into `out` (cleared first, capacity kept).
+pub(crate) fn transpose_into<T: Copy>(src: &[T], rows: usize, cols: usize, out: &mut Vec<T>) {
+    debug_assert_eq!(src.len(), rows * cols);
+    out.clear();
+    for j in 0..cols {
+        out.extend((0..rows).map(|i| src[i * cols + j]));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +224,22 @@ mod tests {
         z.set_block(2, 3, &b);
         assert_eq!(z.get(3, 4), 22.0);
         assert_eq!(z.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn row_swaps_and_gather_scatter() {
+        let mut m = Matrix::<f64>::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
+        m.swap_rows(3, 1);
+        m.swap_rows(2, 2);
+        assert_eq!(m.row(1), &[9.0, 10.0, 11.0]);
+        assert_eq!(m.row(3), &[3.0, 4.0, 5.0]);
+        let mut buf = vec![7.0; 9];
+        m.gather(1, 1, 2, 2, &mut buf);
+        assert_eq!(buf, vec![10.0, 11.0, 7.0, 8.0]);
+        let mut z = Matrix::<f64>::zeros(4, 3);
+        z.scatter(2, 0, 2, &buf);
+        assert_eq!(z.row(2), &[10.0, 11.0, 0.0]);
+        assert_eq!(z.row(3), &[7.0, 8.0, 0.0]);
     }
 
     #[test]

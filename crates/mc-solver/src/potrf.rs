@@ -2,14 +2,20 @@
 //!
 //! The right-looking blocked algorithm: factor a diagonal block on
 //! scalar arithmetic, triangular-solve the panel below it, then update
-//! the trailing matrix with a GEMM — routed through [`mc_blas`]'s
+//! the trailing matrix with GEMMs — routed through [`mc_blas`]'s
 //! functional executor so the update carries Matrix Core tiling and
 //! precision semantics, exactly as rocSOLVER delegates to rocBLAS.
+//!
+//! Only the lower triangle is ever read, so the trailing update is
+//! SYRK-shaped: one GEMM per lower block column, about half the FLOPs
+//! and copy traffic of the full square. Each updated element is still
+//! the same panel-width dot product on the same tier-independent rounding
+//! chain, so the factor's bits do not depend on how the update is cut.
 
-use mc_blas::{run_functional, select_strategy, GemmDesc, GemmOp};
+use mc_blas::{host_gemm_backend, run_functional_with, select_strategy, GemmDesc, GemmOp};
 
-use crate::matrix::Matrix;
-use crate::trsm::trsm_right_lower_transpose;
+use crate::matrix::{transpose_into, Matrix};
+use crate::trsm::solve_lower;
 use crate::SolverError;
 
 /// Default block size (matches the GEMM macro-tile granularity).
@@ -17,8 +23,9 @@ pub const DEFAULT_BLOCK: usize = 64;
 
 /// Computes the lower Cholesky factor `L` with `A = L·Lᵀ`.
 ///
-/// Returns `L` (strictly-upper part zeroed). Fails with
-/// [`SolverError::NotPositiveDefinite`] when a pivot is non-positive.
+/// Reads only the lower triangle of `A`. Returns `L` (strictly-upper
+/// part zeroed). Fails with [`SolverError::NotPositiveDefinite`] when a
+/// pivot is non-positive or NaN.
 ///
 /// ```
 /// use mc_solver::{potrf, Matrix};
@@ -39,6 +46,11 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
     }
     let nb = block.max(1);
     let mut w = a.clone();
+    // One GEMM dispatcher and staging buffers sized by the first step,
+    // reused by every step.
+    let backend = host_gemm_backend();
+    let (mut panel, mut panel_t) = (Vec::new(), Vec::new());
+    let (mut c, mut d) = (Vec::new(), Vec::new());
 
     let mut k = 0;
     while k < n {
@@ -51,75 +63,92 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
 
         let rest = n - k - b;
         if rest > 0 {
-            // 2. Panel solve: A21 <- A21 · L11^-T.
-            let mut panel = w.block(k + b, k, rest, b);
-            trsm_right_lower_transpose(&dkk, &mut panel)?;
-            w.set_block(k + b, k, &panel);
+            // 2. Panel solve A21 <- A21 · L11^-T, run as the forward
+            //    solve L11 · A21ᵀ = A21ᵀ on the transposed panel.
+            w.gather(k + b, k, rest, b, &mut panel);
+            transpose_into(&panel, rest, b, &mut panel_t);
+            solve_lower(&backend, &w, k, &mut panel_t, rest, false)?;
+            transpose_into(&panel_t, b, rest, &mut panel);
+            w.scatter(k + b, k, b, &panel);
 
-            // 3. Trailing update A22 <- A22 - panel · panelᵀ, via the
-            //    Matrix Core GEMM path (SYRK expressed as GEMM with
-            //    trans_b, alpha = -1, beta = 1).
-            let desc = GemmDesc {
-                trans_b: crate::Transpose::Trans,
-                ..GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0)
-            };
-            let trailing = w.block(k + b, k + b, rest, rest);
-            let mut out = vec![0.0f64; rest * rest];
-            run_functional::<f64, f64, f64>(
-                &desc,
-                &select_strategy(&desc),
-                panel.as_slice(),
-                panel.as_slice(),
-                trailing.as_slice(),
-                &mut out,
-            )
-            .map_err(|e| SolverError::Blas(e.to_string()))?;
-            w.set_block(k + b, k + b, &Matrix::from_slice(rest, rest, &out));
+            // 3. Trailing update A22 <- A22 - panel · panelᵀ on the lower
+            //    block columns only (SYRK as one GEMM per block column
+            //    with trans_b, alpha = -1, beta = 1), on the Matrix Core
+            //    GEMM path: column block [jb, jb+nbj) takes rows jb.. of
+            //    the panel against its rows jb..jb+nbj.
+            let mut jb = 0;
+            while jb < rest {
+                let nbj = nb.min(rest - jb);
+                let m = rest - jb;
+                let r0 = k + b + jb;
+                let desc = GemmDesc {
+                    trans_b: crate::Transpose::Trans,
+                    ..GemmDesc::new(GemmOp::Dgemm, m, nbj, b, -1.0, 1.0)
+                };
+                w.gather(r0, r0, m, nbj, &mut c);
+                d.resize(m * nbj, 0.0);
+                run_functional_with::<f64, f64, f64>(
+                    &backend,
+                    &desc,
+                    &select_strategy(&desc),
+                    &panel[jb * b..],
+                    &panel[jb * b..(jb + nbj) * b],
+                    &c,
+                    &mut d,
+                )
+                .map_err(|e| SolverError::Blas(e.to_string()))?;
+                w.scatter(r0, r0, nbj, &d);
+                jb += nbj;
+            }
         }
         k += b;
     }
 
     // Zero the strictly-upper triangle.
+    let data = w.as_mut_slice();
     for i in 0..n {
-        for j in i + 1..n {
-            w.set(i, j, 0.0);
-        }
+        data[i * n + i + 1..(i + 1) * n].fill(0.0);
     }
     Ok(w)
 }
 
+/// Unblocked Cholesky of the square `a` in place (lower triangle),
+/// reporting a failed pivot at `base_index` plus its position. Like
+/// LAPACK's `DPOTF2` it rejects a pivot that is `≤ 0` or NaN.
 fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), SolverError> {
     let n = a.rows();
+    let data = a.as_mut_slice();
     for j in 0..n {
-        let mut d = a.get(j, j);
-        for k in 0..j {
-            d -= a.get(j, k) * a.get(j, k);
+        let (top, below) = data.split_at_mut((j + 1) * n);
+        let rj = &mut top[j * n..];
+        let mut d = rj[j];
+        for &x in &rj[..j] {
+            d -= x * x;
         }
-        if d <= 0.0 {
+        if d <= 0.0 || d.is_nan() {
             return Err(SolverError::NotPositiveDefinite {
                 index: base_index + j,
             });
         }
         let d = d.sqrt();
-        a.set(j, j, d);
-        for i in j + 1..n {
-            let mut v = a.get(i, j);
-            for k in 0..j {
-                v -= a.get(i, k) * a.get(j, k);
+        rj[j] = d;
+        for ri in below.chunks_exact_mut(n) {
+            let mut v = ri[j];
+            for (&x, &y) in ri[..j].iter().zip(&rj[..j]) {
+                v -= x * y;
             }
-            a.set(i, j, v / d);
+            ri[j] = v / d;
         }
     }
     Ok(())
 }
 
 /// Solves `A·x = b` given the Cholesky factor `L` (two triangular
-/// solves).
+/// solves, the second reading `Lᵀ` in place).
 pub fn potrs(l: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>, SolverError> {
     let mut y = b.clone();
     crate::trsm::trsm_left_lower(l, &mut y, false)?;
-    let u = l.transposed();
-    crate::trsm::trsm_left_upper(&u, &mut y)?;
+    crate::trsm::trsm_left_lower_transpose(l, &mut y)?;
     Ok(y)
 }
 
@@ -197,6 +226,50 @@ mod tests {
         a.set(5, 5, -1.0);
         let err = potrf(&a, 8).unwrap_err();
         assert!(matches!(err, SolverError::NotPositiveDefinite { .. }));
+    }
+
+    #[test]
+    fn rejects_nan_pivots() {
+        // A NaN on the diagonal is rejected at its own index.
+        let mut a = spd(16);
+        a.set(5, 5, f64::NAN);
+        assert_eq!(
+            potrf(&a, 8),
+            Err(SolverError::NotPositiveDefinite { index: 5 })
+        );
+        // An off-diagonal NaN in the lower triangle propagates into the
+        // row's own pivot through the panel solve and the trailing
+        // update, and is rejected there.
+        let n = 130;
+        let mut a = spd(n);
+        a.set(100, 3, f64::NAN);
+        for block in [8, 64] {
+            assert_eq!(
+                potrf(&a, block),
+                Err(SolverError::NotPositiveDefinite { index: 100 }),
+                "block {block}"
+            );
+        }
+    }
+
+    #[test]
+    fn never_reads_the_strict_upper_triangle() {
+        // The lower-only trailing update relies on this: NaN above the
+        // diagonal must not change a single bit of the factor.
+        for (n, block) in [(7usize, 64usize), (130, 16), (130, 64), (200, 64)] {
+            let a = spd(n);
+            let mut poisoned = a.clone();
+            for i in 0..n {
+                for j in i + 1..n {
+                    poisoned.set(i, j, f64::NAN);
+                }
+            }
+            let want = potrf(&a, block).unwrap();
+            let got = potrf(&poisoned, block).unwrap();
+            let bits =
+                |m: &Matrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n} block={block}");
+        }
     }
 
     #[test]

@@ -66,20 +66,23 @@ pub fn refine(
     let a_lo: Matrix<f32> = a.cast();
     let lu = getrf(&a_lo.cast::<f64>(), opts.block)?;
 
+    let ncols = b.cols();
     let a_norm = a.max_abs().max(f64::MIN_POSITIVE);
     let mut x = lu.solve(b)?;
     let mut history = Vec::new();
 
     for it in 0..=opts.max_iterations {
-        // FP64 residual r = b - A x.
+        // FP64 residual r = b - A x: one ascending-k dot product of a
+        // row of A with a column of x (a row of xᵀ) per element.
+        let xt = x.transposed();
         let mut r = b.clone();
         for i in 0..n {
-            for col in 0..b.cols() {
-                let mut s = 0.0;
-                for k in 0..n {
-                    s += a.get(i, k) * x.get(k, col);
-                }
-                r.set(i, col, b.get(i, col) - s);
+            let ai = a.row(i);
+            let ri = &mut r.as_mut_slice()[i * ncols..(i + 1) * ncols];
+            for (col, rv) in ri.iter_mut().enumerate() {
+                let xc = &xt.as_slice()[col * n..(col + 1) * n];
+                let s = ai.iter().zip(xc).fold(0.0, |s, (&av, &xv)| s + av * xv);
+                *rv -= s;
             }
         }
         let scaled = r.max_abs() / (a_norm * x.max_abs().max(1.0));
@@ -96,10 +99,8 @@ pub fn refine(
         }
         // Correction through the low-precision factors.
         let d = lu.solve(&r)?;
-        for i in 0..n {
-            for col in 0..x.cols() {
-                x.set(i, col, x.get(i, col) + d.get(i, col));
-            }
+        for (xv, dv) in x.as_mut_slice().iter_mut().zip(d.as_slice()) {
+            *xv += dv;
         }
     }
 

@@ -7,8 +7,15 @@
 //! diagonal blocks and the off-diagonal bulk of the work becomes rank-k
 //! updates on the shared [`mc_compute::Auto`] GEMM dispatch — the same
 //! BLAS-3 shift the factorizations make, applied one level down.
+//!
+//! Substitution is row-oriented over the row-major right-hand sides:
+//! row `i` of `X` is `B[i] − Σₖ L[i][k]·X[k]` as `k` ascends, each term
+//! an axpy over a whole contiguous row, then one division by the pivot.
+//! Every element still sees the same multiplies, subtractions and
+//! division in the same order as the textbook column-at-a-time loop,
+//! so the loop order moves time only, never an output bit.
 
-use mc_compute::{GemmParams, MatMul, Trans};
+use mc_compute::{Auto, GemmParams, MatMul, Trans};
 
 use crate::matrix::Matrix;
 use crate::SolverError;
@@ -19,25 +26,39 @@ pub const TRSM_BLOCK: usize = 64;
 
 /// Runs `D ← α·A·B + β·C` on the shared GEMM dispatch (solver-internal
 /// shapes are always in-bounds, so the buffer check cannot fail). The
-/// [`mc_compute::Auto`] crossover keeps the frequent small panel
-/// updates off the packed tiers' packing toll without changing a bit
-/// of the result; large rank-k updates land on the f64 SIMD
-/// microkernel when the vector unit allows, the scalar blocked kernel
-/// otherwise — bitwise identical either way.
-fn gemm_update(params: &GemmParams, a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
-    mc_compute::Auto::from_env()
+/// [`Auto`] crossover keeps the frequent small panel updates off the
+/// packed tiers' packing toll without changing a bit of the result;
+/// large rank-k updates land on the f64 SIMD microkernel when the
+/// vector unit allows, the scalar blocked kernel otherwise — bitwise
+/// identical either way. Each solve resolves the dispatcher (an
+/// environment and core-count read) once and reuses it for every block.
+fn gemm_update(
+    backend: &Auto,
+    params: &GemmParams,
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+    d: &mut [f64],
+) {
+    backend
         .gemm::<f64, f64, f64>(params, a, b, c, d)
         .expect("solver gemm shapes are validated by construction");
 }
 
-/// Offsets a singular-diagonal report from block coordinates to matrix
-/// coordinates.
-fn offset_singular(e: SolverError, base: usize) -> SolverError {
-    match e {
-        SolverError::Singular { index } => SolverError::Singular {
-            index: index + base,
-        },
-        other => other,
+/// `row ← row − Σₖ coef[k]·rows[k]`, with `rows` holding `coef.len()`
+/// row-major rows as wide as `row`, subtracting the terms in ascending
+/// `k`: an axpy per term across the whole row or, for a single column,
+/// the same chain as a dot product kept in a register.
+#[inline]
+fn sub_rows(row: &mut [f64], coef: &[f64], rows: &[f64]) {
+    if let [x] = row {
+        *x = coef.iter().zip(rows).fold(*x, |x, (&c, &v)| x - c * v);
+        return;
+    }
+    for (&c, src) in coef.iter().zip(rows.chunks_exact(row.len())) {
+        for (x, &v) in row.iter_mut().zip(src) {
+            *x -= c * v;
+        }
     }
 }
 
@@ -54,57 +75,75 @@ pub fn trsm_left_lower(
             what: format!("L {}x{} vs B {}x{}", l.rows(), l.cols(), b.rows(), b.cols()),
         });
     }
-    if n <= TRSM_BLOCK {
-        return trsm_left_lower_naive(l, b, unit_diag);
-    }
     let ncols = b.cols();
+    solve_lower(&Auto::from_env(), l, 0, b.as_mut_slice(), ncols, unit_diag)
+}
+
+/// Solves `L₁₁·X = B` in place, with `x` the row-major `n×ncols`
+/// right-hand sides and `L₁₁` the `n×n` diagonal block of `l` at
+/// `(base, base)`. A zero pivot is reported at its index in `l`.
+pub(crate) fn solve_lower(
+    backend: &Auto,
+    l: &Matrix<f64>,
+    base: usize,
+    x: &mut [f64],
+    ncols: usize,
+    unit_diag: bool,
+) -> Result<(), SolverError> {
+    if ncols == 0 {
+        return Ok(());
+    }
+    let n = x.len() / ncols;
+    let mut l21 = Vec::new();
+    let mut out = Vec::new();
     let mut ib = 0;
     while ib < n {
         let nb = TRSM_BLOCK.min(n - ib);
-        let l11 = l.block(ib, ib, nb, nb);
-        let mut b1 = b.block(ib, 0, nb, ncols);
-        trsm_left_lower_naive(&l11, &mut b1, unit_diag).map_err(|e| offset_singular(e, ib))?;
-        b.set_block(ib, 0, &b1);
+        let (head, b2) = x.split_at_mut((ib + nb) * ncols);
+        let x1 = &mut head[ib * ncols..];
+        forward_substitute(l, base + ib, x1, ncols, unit_diag)?;
         let rest = n - ib - nb;
         if rest > 0 {
             // B₂ ← B₂ − L₂₁·X₁ : the bulk of the solve, as a GEMM.
-            let l21 = l.block(ib + nb, ib, rest, nb);
-            let b2 = b.block(ib + nb, 0, rest, ncols);
-            let mut out = Matrix::zeros(rest, ncols);
+            l.gather(base + ib + nb, base + ib, rest, nb, &mut l21);
+            out.resize(rest * ncols, 0.0);
             gemm_update(
+                backend,
                 &GemmParams::new(rest, ncols, nb).with_scaling(-1.0, 1.0),
-                l21.as_slice(),
-                b1.as_slice(),
-                b2.as_slice(),
-                out.as_mut_slice(),
+                &l21,
+                x1,
+                b2,
+                &mut out,
             );
-            b.set_block(ib + nb, 0, &out);
+            b2.copy_from_slice(&out);
         }
         ib += nb;
     }
     Ok(())
 }
 
-fn trsm_left_lower_naive(
+/// Forward substitution on the `x.len()/ncols` rows of `x` against the
+/// diagonal block of `l` at `(base, base)`.
+fn forward_substitute(
     l: &Matrix<f64>,
-    b: &mut Matrix<f64>,
+    base: usize,
+    x: &mut [f64],
+    ncols: usize,
     unit_diag: bool,
 ) -> Result<(), SolverError> {
-    let n = l.rows();
-    for col in 0..b.cols() {
-        for i in 0..n {
-            let mut x = b.get(i, col);
-            for k in 0..i {
-                x -= l.get(i, k) * b.get(k, col);
+    for i in 0..x.len() / ncols {
+        let (solved, rest) = x.split_at_mut(i * ncols);
+        let row = &mut rest[..ncols];
+        let li = &l.row(base + i)[base..=base + i];
+        sub_rows(row, &li[..i], solved);
+        if !unit_diag {
+            let d = li[i];
+            if d == 0.0 {
+                return Err(SolverError::Singular { index: base + i });
             }
-            if !unit_diag {
-                let d = l.get(i, i);
-                if d == 0.0 {
-                    return Err(SolverError::Singular { index: i });
-                }
-                x /= d;
+            for v in row.iter_mut() {
+                *v /= d;
             }
-            b.set(i, col, x);
         }
     }
     Ok(())
@@ -112,7 +151,9 @@ fn trsm_left_lower_naive(
 
 /// Solves `X·Lᵀ = B` for `X`, with `L` lower triangular (so `Lᵀ` is
 /// upper). `B` is `m×n`, `L` is `n×n`; `B` is overwritten by `X`.
-/// This is the Cholesky panel update `A₂₁ ← A₂₁·L₁₁⁻ᵀ`.
+/// This is the Cholesky panel update `A₂₁ ← A₂₁·L₁₁⁻ᵀ`, run as the
+/// forward solve `L·Xᵀ = Bᵀ` on the transposed panel so that the
+/// substitution streams rows.
 pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
     let n = l.rows();
     if l.cols() != n || b.cols() != n {
@@ -120,73 +161,44 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
             what: format!("L {}x{} vs B {}x{}", l.rows(), l.cols(), b.rows(), b.cols()),
         });
     }
-    if n <= TRSM_BLOCK {
-        return trsm_right_lower_transpose_naive(l, b);
-    }
-    let m = b.rows();
-    let mut jb = 0;
-    while jb < n {
-        let nb = TRSM_BLOCK.min(n - jb);
-        let l11 = l.block(jb, jb, nb, nb);
-        let mut b1 = b.block(0, jb, m, nb);
-        trsm_right_lower_transpose_naive(&l11, &mut b1).map_err(|e| offset_singular(e, jb))?;
-        b.set_block(0, jb, &b1);
-        let rest = n - jb - nb;
-        if rest > 0 {
-            // B₃ ← B₃ − X₁·L₃₁ᵀ with L₃₁ the rows still to solve.
-            let l31 = l.block(jb + nb, jb, rest, nb);
-            let b3 = b.block(0, jb + nb, m, rest);
-            let mut out = Matrix::zeros(m, rest);
-            gemm_update(
-                &GemmParams::new(m, rest, nb)
-                    .with_scaling(-1.0, 1.0)
-                    .with_transposes(Trans::None, Trans::Trans),
-                b1.as_slice(),
-                l31.as_slice(),
-                b3.as_slice(),
-                out.as_mut_slice(),
-            );
-            b.set_block(0, jb + nb, &out);
-        }
-        jb += nb;
-    }
-    Ok(())
-}
-
-fn trsm_right_lower_transpose_naive(
-    l: &Matrix<f64>,
-    b: &mut Matrix<f64>,
-) -> Result<(), SolverError> {
-    let n = l.rows();
-    for row in 0..b.rows() {
-        for j in 0..n {
-            // X[row][j] = (B[row][j] - sum_{k<j} X[row][k] * L[j][k]) / L[j][j]
-            let mut x = b.get(row, j);
-            for k in 0..j {
-                x -= b.get(row, k) * l.get(j, k);
-            }
-            let d = l.get(j, j);
-            if d == 0.0 {
-                return Err(SolverError::Singular { index: j });
-            }
-            b.set(row, j, x / d);
-        }
-    }
+    let mut bt = b.transposed();
+    solve_lower(&Auto::from_env(), l, 0, bt.as_mut_slice(), b.rows(), false)?;
+    *b = bt.transposed();
     Ok(())
 }
 
 /// Solves `U·X = B` with `U` upper triangular (back substitution).
 pub fn trsm_left_upper(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
-    let n = u.rows();
-    if u.cols() != n || b.rows() != n {
+    solve_upper(u, false, b)
+}
+
+/// Solves `Lᵀ·X = B` with `L` lower triangular, reading `Lᵀ` in place
+/// of a transposed copy: the same back substitution, bit for bit, as
+/// [`trsm_left_upper`] on `l.transposed()`.
+pub(crate) fn trsm_left_lower_transpose(
+    l: &Matrix<f64>,
+    b: &mut Matrix<f64>,
+) -> Result<(), SolverError> {
+    solve_upper(l, true, b)
+}
+
+/// Back substitution `U·X = B` with `U = t`, or `U = tᵀ` when
+/// `transposed`; `B` is overwritten by `X`.
+fn solve_upper(t: &Matrix<f64>, transposed: bool, b: &mut Matrix<f64>) -> Result<(), SolverError> {
+    let n = t.rows();
+    if t.cols() != n || b.rows() != n {
         return Err(SolverError::ShapeMismatch {
-            what: format!("U {}x{} vs B {}x{}", u.rows(), u.cols(), b.rows(), b.cols()),
+            what: format!("U {}x{} vs B {}x{}", t.rows(), t.cols(), b.rows(), b.cols()),
         });
     }
-    if n <= TRSM_BLOCK {
-        return trsm_left_upper_naive(u, b);
-    }
     let ncols = b.cols();
+    if ncols == 0 {
+        return Ok(());
+    }
+    let backend = Auto::from_env();
+    let x = b.as_mut_slice();
+    let mut u12 = Vec::new();
+    let mut out = Vec::new();
     // Back substitution: blocks bottom-up, each preceded by the rank-k
     // update from the rows already solved below it.
     let blocks = n.div_ceil(TRSM_BLOCK);
@@ -194,41 +206,49 @@ pub fn trsm_left_upper(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), Solve
         let ib = blk * TRSM_BLOCK;
         let nb = TRSM_BLOCK.min(n - ib);
         let below = n - ib - nb;
-        let mut b1 = b.block(ib, 0, nb, ncols);
+        let (head, x2) = x.split_at_mut((ib + nb) * ncols);
+        let b1 = &mut head[ib * ncols..];
         if below > 0 {
-            // B₁ ← B₁ − U₁₂·X₂ with X₂ the already-solved rows below.
-            let u12 = u.block(ib, ib + nb, nb, below);
-            let x2 = b.block(ib + nb, 0, below, ncols);
-            let mut out = Matrix::zeros(nb, ncols);
-            gemm_update(
-                &GemmParams::new(nb, ncols, below).with_scaling(-1.0, 1.0),
-                u12.as_slice(),
-                x2.as_slice(),
-                b1.as_slice(),
-                out.as_mut_slice(),
-            );
-            b1 = out;
+            // B₁ ← B₁ − U₁₂·X₂ with X₂ the already-solved rows below;
+            // U₁₂ of tᵀ is t's block below the diagonal, read transposed.
+            let params = GemmParams::new(nb, ncols, below).with_scaling(-1.0, 1.0);
+            let params = if transposed {
+                t.gather(ib + nb, ib, below, nb, &mut u12);
+                params.with_transposes(Trans::Trans, Trans::None)
+            } else {
+                t.gather(ib, ib + nb, nb, below, &mut u12);
+                params
+            };
+            out.resize(nb * ncols, 0.0);
+            gemm_update(&backend, &params, &u12, x2, b1, &mut out);
+            b1.copy_from_slice(&out);
         }
-        let u11 = u.block(ib, ib, nb, nb);
-        trsm_left_upper_naive(&u11, &mut b1).map_err(|e| offset_singular(e, ib))?;
-        b.set_block(ib, 0, &b1);
+        let u11 = t.block(ib, ib, nb, nb);
+        let u11 = if transposed { u11.transposed() } else { u11 };
+        back_substitute(&u11, ib, b1, ncols)?;
     }
     Ok(())
 }
 
-fn trsm_left_upper_naive(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
-    let n = u.rows();
-    for col in 0..b.cols() {
-        for i in (0..n).rev() {
-            let mut x = b.get(i, col);
-            for k in i + 1..n {
-                x -= u.get(i, k) * b.get(k, col);
-            }
-            let d = u.get(i, i);
-            if d == 0.0 {
-                return Err(SolverError::Singular { index: i });
-            }
-            b.set(i, col, x / d);
+/// Back substitution on the rows of `x` against the upper-triangular
+/// diagonal block `u11`, reporting a zero pivot at `base` plus its row.
+fn back_substitute(
+    u11: &Matrix<f64>,
+    base: usize,
+    x: &mut [f64],
+    ncols: usize,
+) -> Result<(), SolverError> {
+    for i in (0..u11.rows()).rev() {
+        let (head, solved) = x.split_at_mut((i + 1) * ncols);
+        let row = &mut head[i * ncols..];
+        let ui = &u11.row(i)[i..];
+        sub_rows(row, &ui[1..], solved);
+        let d = ui[0];
+        if d == 0.0 {
+            return Err(SolverError::Singular { index: base + i });
+        }
+        for v in row.iter_mut() {
+            *v /= d;
         }
     }
     Ok(())
