@@ -3,31 +3,34 @@
 //!
 //! Every figure in the suite funnels its host GEMM work through
 //! [`mc_blas::select::host_gemm_backend`] — the [`mc_compute::Auto`]
-//! dispatch over the naive → blocked → blocked+SIMD ladder. This
-//! experiment measures what each rung buys: for each cell of a
-//! problem-size × thread-count matrix it times the scalar blocked
-//! kernel, the explicit-SIMD microkernel (when the vector unit
-//! supports it), and the routed dispatch, confirms every path agrees
-//! bitwise with the retained naive reference (the optimization
-//! contract: same rounding chain, different loop order), and records
-//! blocked LU/Cholesky factorization wall times. Alongside the usual
-//! envelope it writes a machine-readable `BENCH_hotpaths.json` to the
-//! `--json` sink so CI can archive and perf-diff timings cell by cell.
+//! dispatch over the naive → packed ladder. This experiment measures
+//! what each rung buys: for each cell of a problem-size × thread-count
+//! matrix it times the packed tier ([`mc_compute::Simd`], with the
+//! microtile [`mc_compute::SIMD_ENV`] selects) and the routed
+//! dispatch, confirms every path agrees bitwise with the retained
+//! naive reference (the optimization contract: same rounding chain,
+//! different loop order), and records blocked LU/Cholesky
+//! factorization wall times. Alongside the usual envelope it writes a
+//! machine-readable `BENCH_hotpaths.json` to the `--json` sink so CI
+//! can archive and perf-diff timings cell by cell.
 //!
 //! Because the dispatch routes sub-crossover problems back to the
-//! naive loop and super-crossover ones to the fastest supported tier,
-//! the routed side can tie but never structurally lose to any single
-//! tier — the regression the v1 artifact exposed (`sgemm_blocked`
-//! behind `sgemm_naive` at N = 256 on one thread) stays closed by
-//! policy, and the v3 matrix additionally pins the ladder order: the
-//! tier the dispatch picks must not lose to any tier below it.
+//! naive loop and super-crossover ones to the packed tier, the routed
+//! side can tie but never structurally lose to either rung — the
+//! regression the v1 artifact exposed (a packed kernel behind
+//! `sgemm_naive` at N = 256 on one thread) stays closed by policy, and
+//! the matrix additionally pins the ladder order: the packed tier,
+//! when picked, must not lose to the naive loop.
 //!
 //! The naive reference is O(N³) with a strided `B` walk and no
 //! parallelism; at N = 2048 it needs minutes while the microkernel
 //! needs half a second. It is therefore only timed up to
 //! [`NAIVE_CAP_N`] — and only once per size, on the single-thread
 //! pass, since it never touches the pool — and larger cells report
-//! their throughput as GFLOP/s instead of a speedup-over-naive.
+//! their throughput as GFLOP/s instead of a speedup-over-naive. Their
+//! bitwise check runs against an untimed portable-microtile output
+//! computed once per size, so the routed output is never compared only
+//! against itself.
 //!
 //! The size axis defaults to {256, 512, 1024, 2048} (just {256} under
 //! smoke budgets) and collapses to a single dimension with the
@@ -38,7 +41,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use mc_blas::BlasHandle;
-use mc_compute::{Blocked, Epilogue, GemmParams, MatMul, Naive, Simd};
+use mc_compute::{Epilogue, GemmParams, MatMul, Naive, Simd, SimdMode};
 use mc_sim::{DeviceId, DeviceRegistry};
 use mc_solver::{factor_timed, Factorization};
 use serde::{Deserialize, Serialize};
@@ -46,10 +49,11 @@ use serde::{Deserialize, Serialize};
 use crate::experiment::IterBudgets;
 
 /// Layout version of `BENCH_hotpaths.json`. Version 3 added per-entry
-/// `gflops` and `backend` columns and split the packed tier into
-/// `sgemm_blocked` (scalar) and `sgemm_simd` (microkernel) alongside
-/// the routed `sgemm_auto`; version 2 had moved the thread count from
-/// the file header into every entry.
+/// `gflops` and `backend` columns and recorded the packed tier as
+/// `sgemm_simd` alongside the routed `sgemm_auto` (a scalar
+/// `sgemm_blocked` tier was recorded too until it was folded into
+/// `sgemm_simd`'s loop nest); version 2 had moved the thread count
+/// from the file header into every entry.
 pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
 /// Name of the timing artifact written to the JSON sink.
@@ -79,8 +83,8 @@ pub const TIER_JITTER_REL: f64 = 0.10;
 /// see fixed wake-up/descheduling costs that dwarf 10% of the wall
 /// time, so a purely relative band flags noise as a loss there. Real
 /// tier inversions are order-of-magnitude events — the committed
-/// calibration puts ~9× between SIMD and blocked at 1024³ — which the
-/// 25 ms floor cannot mask.
+/// calibration puts ~18× between the packed tier and naive at 512³ —
+/// which the 25 ms floor cannot mask.
 pub const TIER_JITTER_ABS_S: f64 = 0.025;
 
 /// One cell of the tier-ladder GEMM matrix.
@@ -94,16 +98,12 @@ pub struct GemmTiming {
     /// above [`NAIVE_CAP_N`]. The reference is serial, so the value is
     /// measured once per size and shared across the thread axis.
     pub naive_s: Option<f64>,
-    /// Scalar blocked-kernel wall time in seconds (best of [`REPS`]).
-    pub blocked_s: f64,
-    /// SIMD-microkernel wall time in seconds (best of [`REPS`]);
-    /// absent when the vector unit is missing or `MC_GEMM_SIMD` turned
-    /// the tier off.
-    pub simd_s: Option<f64>,
+    /// Packed-tier wall time in seconds (best of [`REPS`]), with the
+    /// microtile `MC_GEMM_SIMD` selects.
+    pub simd_s: f64,
     /// Routed-dispatch wall time in seconds (best of [`REPS`]).
     pub routed_s: f64,
-    /// Which tier the dispatch routed this cell to
-    /// (`naive`/`blocked`/`simd`).
+    /// Which tier the dispatch routed this cell to (`naive`/`simd`).
     pub routed: String,
     /// Routed-dispatch throughput, `2·N³ / routed_s / 10⁹`.
     pub gflops: f64,
@@ -142,8 +142,9 @@ pub struct Perf {
     /// Rayon worker threads of the ambient pool (restored after the
     /// matrix and used for the solver timings).
     pub threads: usize,
-    /// Whether the SIMD tier was live for this run (vector unit
-    /// present and not disabled via `MC_GEMM_SIMD`).
+    /// Whether the packed tier ran its vector microtile for this run
+    /// (vector unit present and not forced portable via
+    /// `MC_GEMM_SIMD`).
     pub simd_enabled: bool,
     /// The (size × threads) GEMM timing matrix.
     pub cells: Vec<GemmTiming>,
@@ -155,8 +156,8 @@ pub struct Perf {
     /// [`TIER_JITTER_ABS_S`] noise floor) — the crossover contract.
     pub never_loses: bool,
     /// True when in no cell the tier the dispatch picked lost to a
-    /// tier below it on the ladder (naive < blocked < simd), beyond
-    /// timer jitter — the tier-inversion check.
+    /// tier below it on the ladder (naive < simd), beyond timer jitter
+    /// — the tier-inversion check.
     pub tier_ordered: bool,
     /// Factorization wall times over the routed BLAS-3 blocks.
     pub solver: Vec<SolverTiming>,
@@ -165,8 +166,8 @@ pub struct Perf {
 /// One entry of `BENCH_hotpaths.json`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchEntry {
-    /// Stable hot-path id (`sgemm_naive`, `sgemm_blocked`,
-    /// `sgemm_simd`, `sgemm_auto`, `getrf`, `potrf`).
+    /// Stable hot-path id (`sgemm_naive`, `sgemm_simd`, `sgemm_auto`,
+    /// `getrf`, `potrf`).
     pub id: String,
     /// Problem dimension.
     pub n: usize,
@@ -264,40 +265,41 @@ pub fn time_naive(n: usize) -> (f64, Vec<f32>) {
     (best, out)
 }
 
-/// Times one matrix cell: the scalar blocked tier, the SIMD tier when
-/// available, and the routed dispatch, best of [`REPS`] each, with a
-/// bitwise agreement check against the naive reference (or the
-/// blocked output above [`NAIVE_CAP_N`], where blocked stands in —
-/// `compute_parity` proves it bit-identical to naive). Assumes the
-/// global rayon pool is already sized to `threads`; the dispatch is
-/// constructed here so its crossover sees that pool.
-pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> GemmTiming {
+/// The bitwise stand-in for a size above [`NAIVE_CAP_N`]: one untimed
+/// portable-microtile run, an output computed independently of the
+/// vector microtile the timed paths run (`compute_parity` proves both
+/// bit-identical to naive).
+fn stand_in(n: usize) -> Vec<f32> {
+    let (a, b) = operands(n);
+    let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
+    time_kernel(&Simd::with_mode(SimdMode::Portable), &params, &a, &b).1
+}
+
+/// Times one matrix cell: the packed tier and the routed dispatch,
+/// best of [`REPS`] each, with a bitwise agreement check against
+/// `reference` — the naive output, or above [`NAIVE_CAP_N`] the
+/// untimed portable-microtile output — and `naive_s` the naive time
+/// where it was measured. Assumes the global rayon pool is already
+/// sized to `threads`; the dispatch is constructed here so its
+/// crossover sees that pool.
+pub fn time_gemm(n: usize, threads: usize, naive_s: Option<f64>, reference: &[f32]) -> GemmTiming {
     let (a, b) = operands(n);
     let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
     let auto = mc_blas::select::host_gemm_backend();
-    let simd_live = auto.simd_enabled() && Simd::supports::<f32, f32>();
 
-    let mut blocked_s = f64::INFINITY;
     let mut simd_s = f64::INFINITY;
     let mut routed_s = f64::INFINITY;
-    let mut d_blocked = Vec::new();
     let mut d_simd = Vec::new();
     let mut d_auto = Vec::new();
     for _ in 0..REPS {
-        let (t, d) = time_kernel(&Blocked, &params, &a, &b);
-        blocked_s = blocked_s.min(t);
-        d_blocked = d;
-        if simd_live {
-            let (t, d) = time_kernel(&Simd::from_env(), &params, &a, &b);
-            simd_s = simd_s.min(t);
-            d_simd = d;
-        }
+        let (t, d) = time_kernel(&Simd::from_env(), &params, &a, &b);
+        simd_s = simd_s.min(t);
+        d_simd = d;
         let (t, d) = time_kernel(&auto, &params, &a, &b);
         routed_s = routed_s.min(t);
         d_auto = d;
     }
 
-    let reference = naive.map_or(&d_blocked, |(_, d)| d);
     let agrees = |other: &[f32]| {
         reference
             .iter()
@@ -308,31 +310,23 @@ pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> G
     GemmTiming {
         n,
         threads,
-        naive_s: naive.map(|(t, _)| *t),
-        blocked_s,
-        simd_s: simd_live.then_some(simd_s),
+        naive_s,
+        simd_s,
         routed_s,
         routed: auto.routed_name::<f32, f32>(&params).to_owned(),
         gflops: 2.0 * (n as f64).powi(3) / routed_s / 1e9,
-        speedup: naive.map(|(t, _)| t / routed_s),
-        bitwise_equal: agrees(&d_blocked) && agrees(&d_auto) && (!simd_live || agrees(&d_simd)),
+        speedup: naive_s.map(|t| t / routed_s),
+        bitwise_equal: agrees(&d_simd) && agrees(&d_auto),
         crossover_n: auto.crossover_n(),
     }
 }
 
-/// The wall times of the tiers at or below the dispatch's pick for a
-/// cell, paired with the pick's own tier timing — the inputs of the
+/// The wall times of the tiers below the dispatch's pick for a cell,
+/// paired with the pick's own tier timing — the inputs of the
 /// tier-inversion check.
 fn routed_tier_vs_lower(c: &GemmTiming) -> Option<(f64, Vec<f64>)> {
-    let naive = c.naive_s;
     match c.routed.as_str() {
-        "simd" => c.simd_s.map(|s| {
-            (
-                s,
-                [Some(c.blocked_s), naive].into_iter().flatten().collect(),
-            )
-        }),
-        "blocked" => Some((c.blocked_s, naive.into_iter().collect())),
+        "simd" => Some((c.simd_s, c.naive_s.into_iter().collect())),
         _ => None,
     }
 }
@@ -344,17 +338,23 @@ fn routed_tier_vs_lower(c: &GemmTiming) -> Option<(f64, Vec<f64>)> {
 /// restored to the auto-detected default afterwards.
 pub fn run(devices: &DeviceRegistry, sizes: &[usize], threads_axis: &[usize]) -> Perf {
     let ambient = rayon::current_num_threads();
-    let mut naive_cache: HashMap<usize, (f64, Vec<f32>)> = HashMap::new();
+    // Per size: the naive time where measured, and the reference output.
+    let mut references: HashMap<usize, (Option<f64>, Vec<f32>)> = HashMap::new();
     let mut cells = Vec::new();
     for &t in threads_axis {
         let _ = rayon::ThreadPoolBuilder::new()
             .num_threads(t)
             .build_global();
         for &n in sizes {
-            if n <= NAIVE_CAP_N && !naive_cache.contains_key(&n) {
-                naive_cache.insert(n, time_naive(n));
-            }
-            cells.push(time_gemm(n, t, naive_cache.get(&n)));
+            let (naive_s, reference) = references.entry(n).or_insert_with(|| {
+                if n <= NAIVE_CAP_N {
+                    let (t, d) = time_naive(n);
+                    (Some(t), d)
+                } else {
+                    (None, stand_in(n))
+                }
+            });
+            cells.push(time_gemm(n, t, *naive_s, reference));
         }
     }
     let _ = rayon::ThreadPoolBuilder::new()
@@ -393,15 +393,12 @@ pub fn run(devices: &DeviceRegistry, sizes: &[usize], threads_axis: &[usize]) ->
     };
     Perf {
         threads: ambient,
-        simd_enabled: cells.iter().all(|c| c.simd_s.is_some()) && !cells.is_empty(),
+        simd_enabled: Simd::from_env().mode() == SimdMode::Vector,
         meets_target: cells
             .iter()
             .any(|c| c.n >= TARGET_N && c.speedup.is_some_and(|s| s >= 5.0)),
         never_loses: cells.iter().all(|c| {
-            let floor = [Some(c.blocked_s), c.simd_s, c.naive_s]
-                .into_iter()
-                .flatten()
-                .fold(f64::INFINITY, f64::min);
+            let floor = c.naive_s.map_or(c.simd_s, |t| t.min(c.simd_s));
             within_jitter(c.routed_s, floor)
         }),
         tier_ordered: cells.iter().all(|c| {
@@ -434,23 +431,13 @@ pub fn bench_file(p: &Perf) -> BenchFile {
             }
         }
         entries.push(BenchEntry {
-            id: "sgemm_blocked".to_owned(),
+            id: "sgemm_simd".to_owned(),
             n: c.n,
             threads: c.threads,
-            wall_s: c.blocked_s,
-            gflops: gf(c.n, c.blocked_s),
-            backend: "blocked".to_owned(),
+            wall_s: c.simd_s,
+            gflops: gf(c.n, c.simd_s),
+            backend: "simd".to_owned(),
         });
-        if let Some(t) = c.simd_s {
-            entries.push(BenchEntry {
-                id: "sgemm_simd".to_owned(),
-                n: c.n,
-                threads: c.threads,
-                wall_s: t,
-                gflops: gf(c.n, t),
-                backend: "simd".to_owned(),
-            });
-        }
         entries.push(BenchEntry {
             id: "sgemm_auto".to_owned(),
             n: c.n,
@@ -531,24 +518,23 @@ impl crate::experiment::Experiment for PerfExperiment {
 pub fn render(p: &Perf) -> String {
     use std::fmt::Write as _;
     let mut s = format!(
-        "Perf: host hot-path timings across the kernel-tier ladder (SIMD tier {})\n",
+        "Perf: host hot-path timings across the kernel-tier ladder (vector microtile {})\n",
         if p.simd_enabled { "on" } else { "off" }
     );
     let _ = writeln!(
         s,
-        "{:>6} {:>4} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}  {:<8} bitwise",
-        "N", "thr", "naive_s", "blocked_s", "simd_s", "routed_s", "GF/s", "speedup", "route"
+        "{:>6} {:>4} {:>10} {:>10} {:>10} {:>8} {:>8}  {:<8} bitwise",
+        "N", "thr", "naive_s", "simd_s", "routed_s", "GF/s", "speedup", "route"
     );
     let opt = |v: Option<f64>| v.map_or("-".to_owned(), |t| format!("{t:.4}"));
     for c in &p.cells {
         let _ = writeln!(
             s,
-            "{:>6} {:>4} {:>10} {:>10.4} {:>10} {:>10.4} {:>8.1} {:>8}  {:<8} {}",
+            "{:>6} {:>4} {:>10} {:>10.4} {:>10.4} {:>8.1} {:>8}  {:<8} {}",
             c.n,
             c.threads,
             opt(c.naive_s),
-            c.blocked_s,
-            opt(c.simd_s),
+            c.simd_s,
             c.routed_s,
             c.gflops,
             c.speedup.map_or("-".to_owned(), |sp| format!("{sp:.1}x")),
@@ -594,23 +580,28 @@ mod tests {
     #[test]
     fn all_tiers_agree_bitwise_with_naive() {
         let naive = time_naive(96);
-        let t = time_gemm(96, rayon::current_num_threads(), Some(&naive));
+        let t = time_gemm(96, rayon::current_num_threads(), Some(naive.0), &naive.1);
         assert!(t.bitwise_equal, "a tier diverged from the naive reference");
         assert_eq!(t.naive_s, Some(naive.0));
-        assert!(t.blocked_s > 0.0 && t.routed_s > 0.0);
+        assert!(t.simd_s > 0.0 && t.routed_s > 0.0);
         assert!(t.speedup.is_some());
         assert!(t.gflops > 0.0);
         assert!(t.crossover_n > 0);
     }
 
     #[test]
-    fn capped_cells_check_against_the_blocked_stand_in() {
+    fn capped_cells_check_against_the_portable_stand_in() {
         // Above NAIVE_CAP_N the cell carries no naive column but the
-        // bitwise check still runs (against the blocked output).
-        let t = time_gemm(96, rayon::current_num_threads(), None);
+        // bitwise check still runs (against the portable output).
+        let threads = rayon::current_num_threads();
+        let t = time_gemm(96, threads, None, &stand_in(96));
         assert_eq!(t.naive_s, None);
         assert_eq!(t.speedup, None);
         assert!(t.bitwise_equal);
+        // The check is real: a perturbed stand-in fails it.
+        let mut wrong = stand_in(96);
+        wrong[17] = f32::from_bits(wrong[17].to_bits() ^ 1);
+        assert!(!time_gemm(96, threads, None, &wrong).bitwise_equal);
     }
 
     #[test]
@@ -635,16 +626,15 @@ mod tests {
         let p = run(&DeviceRegistry::builtin(), &[64], &[1, 4]);
         let f = bench_file(&p);
         assert_eq!(f.schema_version, BENCH_SCHEMA_VERSION);
-        // Naive rides the t=1 row only; blocked and auto cover every
-        // cell; simd follows the vector unit; 2 solver routines.
-        let simd_ids = if p.simd_enabled { 2 } else { 0 };
-        assert_eq!(f.entries.len(), 1 + 2 * 2 + simd_ids + 2);
+        // Naive rides the t=1 row only; simd and auto cover every
+        // cell; 2 solver routines.
+        assert_eq!(f.entries.len(), 1 + 2 * 2 + 2);
         assert!(f
             .entries
             .iter()
             .any(|e| e.id == "sgemm_naive" && e.threads == 1 && e.backend == "naive"));
         for threads in [1usize, 4] {
-            for id in ["sgemm_blocked", "sgemm_auto"] {
+            for id in ["sgemm_simd", "sgemm_auto"] {
                 assert!(
                     f.entries
                         .iter()
@@ -688,7 +678,7 @@ mod tests {
             .num_threads(1)
             .build_global();
         let naive = time_naive(32);
-        let t = time_gemm(32, 1, Some(&naive));
+        let t = time_gemm(32, 1, Some(naive.0), &naive.1);
         let _ = rayon::ThreadPoolBuilder::new()
             .num_threads(0)
             .build_global();
@@ -704,8 +694,7 @@ mod tests {
             n: 256,
             threads: 1,
             naive_s: Some(0.5),
-            blocked_s: 0.1,
-            simd_s: Some(0.02),
+            simd_s: 0.02,
             routed_s: 0.02,
             routed: "simd".to_owned(),
             gflops: 1.0,
@@ -715,7 +704,7 @@ mod tests {
         };
         let (own, lower) = routed_tier_vs_lower(&cell).unwrap();
         assert_eq!(own, 0.02);
-        assert_eq!(lower, vec![0.1, 0.5]);
+        assert_eq!(lower, vec![0.5]);
         // A naive-routed cell has no lower rung to lose to.
         let naive_cell = GemmTiming {
             routed: "naive".to_owned(),

@@ -254,7 +254,6 @@ fn calibrate_samples(
             if let Some(naive) = r.naive_s {
                 v.push((key("naive"), naive));
             }
-            v.push((key("blocked"), r.blocked_s));
             if keep_simd {
                 v.push((key("simd"), r.simd_s));
             }
@@ -667,7 +666,6 @@ mod tests {
         f.rows.push(mc_compute::calibrate::CalibrateRow {
             n: 1024,
             naive_s: None,
-            blocked_s: 2.0 * simd_s,
             simd_s,
             simd_gflops: 2.0 * 1024f64.powi(3) / simd_s / 1e9,
         });
@@ -689,9 +687,9 @@ mod tests {
         let _guard = EnvGuard::set(&base);
         let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
         let r = run(&ctx).unwrap();
-        // Both the simd and the derived blocked cell regressed 3x past
-        // the quarter-second floor; the untimed naive row never pairs.
-        assert_eq!(r.regressions, 2, "{}", render(&r));
+        // The simd cell regressed 3x past the quarter-second floor;
+        // the untimed naive row never pairs.
+        assert_eq!(r.regressions, 1, "{}", render(&r));
         assert!(r
             .report
             .entries
@@ -726,7 +724,7 @@ mod tests {
         drop(_guard);
 
         // Vector availability differs: simd cells are dropped on both
-        // sides (blocked still pairs, and here it stayed flat).
+        // sides, so nothing pairs.
         write_calibrate(&base, &calibrate(8, false, 9.0));
         let mut flat = calibrate(8, true, 9.0);
         flat.rows[0].simd_s = 0.1; // wildly different, but incomparable

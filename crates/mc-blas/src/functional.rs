@@ -8,12 +8,12 @@
 //! decomposition.
 //!
 //! Both planner strategies execute on the shared [`mc_compute::Auto`]
-//! dispatch ([`crate::select::host_gemm_backend`]), a three-tier
+//! dispatch ([`crate::select::host_gemm_backend`]), a two-rung
 //! ladder: the naive triple loop below the crossover edge, and above
-//! it the explicit-SIMD microkernel ([`mc_compute::Simd`]) when the
-//! vector unit and dtype pairing allow, else the cache-blocked
-//! packed-panel kernel — bit-for-bit identical at every tier, so
-//! routing only moves time. The strategies differ only in the epilogue
+//! it the packed tier ([`mc_compute::Simd`]) — its vector microtile
+//! when the vector unit and dtype pairing allow, else its portable
+//! one — bit-for-bit identical on both rungs, so routing only moves
+//! time. The strategies differ only in the epilogue
 //! rounding:
 //!
 //! * **Matrix Core** — the accumulator registers live in the compute

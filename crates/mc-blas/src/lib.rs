@@ -19,7 +19,7 @@
 //!   processes (`MC_PLAN_DB`);
 //! * [`functional`] — a host-side executor that really computes
 //!   `D ← α·A·B + β·C` with hardware-faithful precision on the shared
-//!   [`mc_compute`] kernels (naive/blocked via the [`mc_compute::Auto`]
+//!   [`mc_compute`] kernels (naive/packed via the [`mc_compute::Auto`]
 //!   crossover dispatch), validating Matrix Core instruction shapes
 //!   through the [`mc_wmma`] fragment API;
 //! * [`handle`] — the `rocblas_handle` equivalent: owns a simulated

@@ -217,14 +217,14 @@ pub fn select_plan(
 }
 
 /// The selector's host-side analogue: the [`mc_compute::Auto`] dispatch
-/// over the naive → blocked → blocked+SIMD kernel ladder, with the
-/// crossover edge calibrated for the live thread pool and the tier in
-/// force (overridable via [`mc_compute::CROSSOVER_ENV`]; the SIMD tier
-/// honours the [`mc_compute::SIMD_ENV`] escape hatch and falls back to
-/// the scalar blocked kernel when the vector unit or dtype pairing
-/// rules it out). The functional GEMM path and the bench harness both
+/// over the naive → packed kernel ladder, with the crossover edge
+/// calibrated for the live thread pool and the microtile in force
+/// (overridable via [`mc_compute::CROSSOVER_ENV`]; the packed tier runs
+/// its vector microtile unless the [`mc_compute::SIMD_ENV`] escape
+/// hatch, the host or the dtype pairing rules it out, and the portable
+/// one otherwise). The functional GEMM path and the bench harness both
 /// construct their backend here, so the host crossover policy has one
-/// owner. Packing scratch inside the packed tiers comes from the
+/// owner. Packing scratch inside the packed tier comes from the
 /// `mc-compute` buffer pool, so repeated calls through one handle — a
 /// batched GEMM most of all — reuse their panels instead of paying an
 /// allocator round-trip per entry.

@@ -1,5 +1,5 @@
-//! Crossover calibration sweep: times the three tiers at a range of
-//! square sizes on the current rayon pool so the `default_crossover`
+//! Crossover calibration sweep: times the naive and packed tiers at a
+//! range of square sizes on the current rayon pool so the `default_crossover`
 //! constants can be re-derived on new hardware. Run with
 //! `cargo run --release -p mc-compute --example calibrate [sizes...]`.
 //!
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use mc_compute::calibrate::{CalibrateFile, CalibrateRow, CALIBRATE_FILE};
-use mc_compute::{Blocked, Epilogue, GemmParams, MatMul, Naive, Simd};
+use mc_compute::{Epilogue, GemmParams, MatMul, Naive, Simd};
 
 fn fill(buf: &mut [f32], mut state: u64) {
     for v in buf.iter_mut() {
@@ -57,8 +57,8 @@ fn main() {
     let mut file = CalibrateFile::new(rayon::current_num_threads(), Simd::vector_available());
     println!("threads={} simd_vector={}", file.threads, file.simd_vector);
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>10}",
-        "N", "naive_s", "blocked_s", "simd_s", "simd GF/s"
+        "{:>6} {:>12} {:>12} {:>10}",
+        "N", "naive_s", "simd_s", "simd GF/s"
     );
     for n in sizes {
         let reps = if n >= 512 { 2 } else { 5 };
@@ -67,15 +67,13 @@ fn main() {
         } else {
             None
         };
-        let blocked = time(&Blocked, n, reps);
         let simd = time(&Simd::from_env(), n, reps);
         let gf = 2.0 * (n as f64).powi(3) / simd / 1e9;
         let naive_cell = naive.unwrap_or(f64::NAN);
-        println!("{n:>6} {naive_cell:>12.6} {blocked:>12.6} {simd:>12.6} {gf:>10.2}");
+        println!("{n:>6} {naive_cell:>12.6} {simd:>12.6} {gf:>10.2}");
         file.rows.push(CalibrateRow {
             n: n as u64,
             naive_s: naive,
-            blocked_s: blocked,
             simd_s: simd,
             simd_gflops: gf,
         });

@@ -1,61 +1,57 @@
-//! Shape-aware backend dispatch over the three-tier kernel ladder:
-//! naive → blocked → blocked+SIMD.
+//! Shape-aware backend dispatch over the two-rung kernel ladder:
+//! naive → packed.
 //!
-//! The packed-panel tiers pay a fixed toll per call — panel packing,
-//! the rayon fork/join, and per-tile bookkeeping — that their cache
-//! and vector wins only repay once the problem is large enough. Below
-//! that crossover the plain triple loop is *faster* (the `perf`
-//! experiment's `BENCH_hotpaths.json` showed `sgemm_blocked` losing to
+//! The packed tier pays a fixed toll per call — panel packing, the
+//! rayon fork/join, and per-tile bookkeeping — that its cache and
+//! vector wins only repay once the problem is large enough. Below that
+//! crossover the plain triple loop is *faster* (the `perf`
+//! experiment's `BENCH_hotpaths.json` showed a packed kernel losing to
 //! `sgemm_naive` at N = 256 on one thread before this dispatch
 //! existed). [`Auto`] closes that gap: it compares the problem's
 //! geometric-mean dimension `∛(m·n·k)` against a crossover edge and
-//! routes small problems to [`Naive`], large ones to the top tier.
+//! routes small problems to [`Naive`], large ones to the packed
+//! [`Simd`] tier, which serves every dtype triple: the vector
+//! microtile where the host and the pairing allow it
+//! ([`Simd::supports`]), the portable microtile otherwise.
 //!
-//! The top tier is [`Simd`] when the [`crate::SIMD_ENV`] escape hatch
-//! leaves it enabled *and* the dtype pairing has a native SIMD kernel
-//! ([`Simd::supports`]); otherwise [`Blocked`]. Half-precision
-//! *accumulation* (`CT ∈ {F16, Bf16}`) therefore always lands on
-//! [`Blocked`] above the edge: those combos only appear in parity
-//! tests, so the edge is calibrated for the f32/f64 tiers the library
-//! and solver actually run hot.
-//!
-//! Routing is bitwise-invisible: every tier matches [`Naive`] bit for
+//! Routing is bitwise-invisible: both rungs match [`Naive`] bit for
 //! bit on every dtype triple (the `compute_parity` suite proves it),
 //! so the dispatch can only change *time*, never results.
 //!
-//! The default edge is tier- and thread-aware — the SIMD microkernel
-//! amortizes its packing toll at a much smaller N than the scalar
-//! blocked kernel, and both amortize sooner when a real rayon pool
+//! The default edge is microtile- and thread-aware — the vector
+//! microtile amortizes its packing toll at a much smaller N than the
+//! portable one, and both amortize sooner when a real rayon pool
 //! parallelizes them — and the [`CROSSOVER_ENV`] variable overrides
 //! the default for calibration sweeps. The `mc-blas` plan selector
 //! re-exports this dispatch as its host-side analogue
 //! (`mc_blas::select::host_gemm_backend`), keeping the library's host
 //! loops and the bench harness on one policy.
 
+use std::sync::OnceLock;
+
 use mc_types::Real;
 
 use crate::params::{ComputeError, GemmParams};
-use crate::{prof, Blocked, MatMul, Naive, Simd};
+use crate::{prof, MatMul, Naive, Simd, SimdMode};
 
 /// Environment variable overriding the crossover edge (a plain integer,
-/// interpreted as the N of an N³ problem at the naive/top-tier
+/// interpreted as the N of an N³ problem at the naive/packed
 /// boundary).
 pub const CROSSOVER_ENV: &str = "MC_GEMM_CROSSOVER";
 
 /// Default crossover edge for a rayon pool of `threads` workers, for
-/// the tier ladder currently in force.
+/// the microtile currently in force.
 ///
-/// With the SIMD tier enabled and the vector unit present, the
-/// microkernel's packing toll is repaid almost immediately: the
-/// calibration sweep (`examples/calibrate.rs`) has naive ahead at
-/// N = 32 and the microkernel ahead 2× by N = 48 on one thread, so
-/// the single-thread edge sits at 40; a real pool amortizes the
-/// single fork/join sooner still. Without the SIMD tier (no AVX2, or
-/// `MC_GEMM_SIMD=off`) the scalar blocked kernel's historical edges
-/// apply: naive stays ahead through N = 256 single-threaded and the
-/// pooled edge sits at 128.
+/// With the vector microtile (AVX2 present, [`crate::SIMD_ENV`] not
+/// forcing the portable one), the packing toll is repaid almost
+/// immediately: the calibration sweep (`examples/calibrate.rs`) has
+/// naive ahead at N = 32 and the microkernel ahead 2× by N = 48 on one
+/// thread, so the single-thread edge sits at 40; a real pool amortizes
+/// the single fork/join sooner still. With the portable microtile the
+/// historical scalar edges apply: naive stays ahead through N = 256
+/// single-threaded and the pooled edge sits at 128.
 pub fn default_crossover(threads: usize) -> usize {
-    if Simd::enabled_from_env() && Simd::vector_available() {
+    if Simd::from_env().mode() == SimdMode::Vector {
         if threads > 1 {
             32
         } else {
@@ -73,9 +69,11 @@ pub fn default_crossover(threads: usize) -> usize {
 /// 4-worker pool on a single core oversubscribes it — the fork/join
 /// toll is paid but nothing runs concurrently — so the crossover must
 /// not drop to the pooled edge just because the pool is nominally
-/// larger.
+/// larger. The core count is read once per process: the query costs
+/// tens of microseconds and every dispatcher resolution asks for it.
 pub fn effective_parallelism() -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     rayon::current_num_threads().min(cores)
 }
 
@@ -93,17 +91,17 @@ pub fn crossover_from_env() -> usize {
 #[derive(Clone, Copy, Debug)]
 pub struct Auto {
     crossover_n: usize,
-    simd: Option<Simd>,
+    simd: Simd,
 }
 
 impl Auto {
     /// Dispatcher with an explicit crossover edge (the selector's
-    /// calibrated value, or a sweep point); the SIMD tier follows
-    /// [`crate::SIMD_ENV`].
+    /// calibrated value, or a sweep point); the packed tier's
+    /// microtile follows [`crate::SIMD_ENV`].
     pub fn with_crossover(crossover_n: usize) -> Self {
         Auto {
             crossover_n,
-            simd: Simd::enabled_from_env().then(Simd::from_env),
+            simd: Simd::from_env(),
         }
     }
 
@@ -113,22 +111,9 @@ impl Auto {
         Auto::with_crossover(crossover_from_env())
     }
 
-    /// Removes the SIMD tier from this dispatcher regardless of the
-    /// environment (sweeps that want the scalar ladder).
-    pub fn without_simd(mut self) -> Self {
-        self.simd = None;
-        self
-    }
-
     /// The crossover edge this dispatcher uses.
     pub fn crossover_n(&self) -> usize {
         self.crossover_n
-    }
-
-    /// Whether the SIMD tier sits at the top of this dispatcher's
-    /// ladder (it still requires [`Simd::supports`] per dtype pairing).
-    pub fn simd_enabled(&self) -> bool {
-        self.simd.is_some()
     }
 
     /// Whether a problem routes to the naive loop: true when the work
@@ -141,14 +126,13 @@ impl Auto {
     }
 
     /// The name of the backend a problem with this dtype pairing
-    /// dispatches to: `naive`, `blocked`, or `simd`.
+    /// dispatches to: `naive` or `simd` (the packed tier, whichever
+    /// microtile it runs).
     pub fn routed_name<AB: Real, CT: Real>(&self, params: &GemmParams) -> &'static str {
         if self.routes_to_naive(params) {
             "naive"
-        } else if self.simd.is_some() && Simd::supports::<AB, CT>() {
-            "simd"
         } else {
-            "blocked"
+            "simd"
         }
     }
 }
@@ -180,6 +164,7 @@ impl MatMul for Auto {
         // Host profiling: when the calling thread is attached to a
         // live session, the dispatch opens a region around the routed
         // call (an untraced run pays only the `active()` check).
+        let naive = self.routes_to_naive(params);
         let token = prof::active().then(|| {
             prof::region_start(
                 self.routed_name::<AB, CT>(params),
@@ -187,10 +172,10 @@ impl MatMul for Auto {
                 params.n,
                 params.k,
                 self.crossover_n,
-                self.simd.is_some(),
+                !naive && self.simd.runs_vector::<AB, CT>(),
             )
         });
-        let result = if self.routes_to_naive(params) {
+        let result = if naive {
             let t0 = token.as_ref().map(|_| prof::now_s());
             let r = Naive.gemm::<AB, CD, CT>(params, a, b, c, d);
             if let Some(t0) = t0 {
@@ -203,12 +188,7 @@ impl MatMul for Auto {
             }
             r
         } else {
-            match self.simd {
-                Some(simd) if Simd::supports::<AB, CT>() => {
-                    simd.gemm::<AB, CD, CT>(params, a, b, c, d)
-                }
-                _ => Blocked.gemm::<AB, CD, CT>(params, a, b, c, d),
-            }
+            self.simd.gemm::<AB, CD, CT>(params, a, b, c, d)
         };
         if let Some(token) = token {
             prof::region_end(token);
@@ -234,14 +214,14 @@ mod tests {
 
     #[test]
     fn default_edges_tighten_with_parallelism_and_simd() {
-        // Regardless of the ladder in force, more workers mean an
+        // Regardless of the microtile in force, more workers mean an
         // earlier hand-off, and the edge always covers tiny problems.
         assert!(default_crossover(4) < default_crossover(1));
         assert!(default_crossover(1) >= 32, "edge covers tiny problems");
-        if Simd::enabled_from_env() && Simd::vector_available() {
+        if Simd::from_env().mode() == SimdMode::Vector {
             assert!(
                 default_crossover(1) <= 96,
-                "SIMD tier repays its toll well before the scalar edge"
+                "vector microtile repays its toll well before the scalar edge"
             );
         } else {
             assert!(
@@ -264,18 +244,17 @@ mod tests {
 
     #[test]
     fn routed_name_follows_the_ladder() {
+        use mc_types::F16;
         let auto = Auto::with_crossover(64);
         assert_eq!(
             auto.routed_name::<f32, f32>(&GemmParams::new(16, 16, 16)),
             "naive"
         );
         let big = GemmParams::new(256, 256, 256);
-        if auto.simd_enabled() {
-            assert_eq!(auto.routed_name::<f32, f32>(&big), "simd");
-            // f64 inputs cannot take the f32 SIMD path.
-            assert_eq!(auto.routed_name::<f64, f32>(&big), "blocked");
-        }
-        assert_eq!(auto.without_simd().routed_name::<f32, f32>(&big), "blocked");
+        // Every dtype pairing, native or chain, takes the packed tier.
+        assert_eq!(auto.routed_name::<f32, f32>(&big), "simd");
+        assert_eq!(auto.routed_name::<f64, f32>(&big), "simd");
+        assert_eq!(auto.routed_name::<F16, F16>(&big), "simd");
     }
 
     #[test]
@@ -286,20 +265,14 @@ mod tests {
             let b: Vec<f32> = (0..n * n).map(|i| ((i % 7) as f32) - 3.0).collect();
             let c: Vec<f32> = (0..n * n).map(|i| (i % 5) as f32).collect();
             let mut via_naive = vec![0.0f32; n * n];
-            let mut via_top = vec![0.0f32; n * n];
-            let mut via_blocked = vec![0.0f32; n * n];
+            let mut via_packed = vec![0.0f32; n * n];
             Auto::with_crossover(usize::MAX)
                 .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut via_naive)
                 .unwrap();
             Auto::with_crossover(0)
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut via_top)
+                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut via_packed)
                 .unwrap();
-            Auto::with_crossover(0)
-                .without_simd()
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut via_blocked)
-                .unwrap();
-            assert_eq!(via_naive, via_top, "N={n}");
-            assert_eq!(via_naive, via_blocked, "N={n}");
+            assert_eq!(via_naive, via_packed, "N={n}");
         }
     }
 }

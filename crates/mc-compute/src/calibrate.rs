@@ -1,7 +1,7 @@
 //! Schema for the crossover-calibration artifact.
 //!
-//! The `calibrate` example times the three tiers over a size sweep and,
-//! besides its console table, writes the measurements as
+//! The `calibrate` example times the naive and packed tiers over a
+//! size sweep and, besides its console table, writes the measurements as
 //! [`CALIBRATE_FILE`] so the sweep is diffable: the `regress` gate in
 //! `mc-bench` pairs a committed baseline against a fresh run and flags
 //! tier slowdowns that would invalidate the committed
@@ -34,8 +34,6 @@ pub struct CalibrateRow {
     pub n: u64,
     /// Best-of-reps naive wall time, absent above the naive timing cap.
     pub naive_s: Option<f64>,
-    /// Best-of-reps blocked-tier wall time.
-    pub blocked_s: f64,
     /// Best-of-reps SIMD-tier wall time.
     pub simd_s: f64,
     /// SIMD-tier throughput, `2n³ / simd_s / 1e9`.
@@ -80,14 +78,12 @@ mod tests {
         f.rows.push(CalibrateRow {
             n: 64,
             naive_s: Some(0.001),
-            blocked_s: 0.002,
             simd_s: 0.0005,
             simd_gflops: 2.0 * 64f64.powi(3) / 0.0005 / 1e9,
         });
         f.rows.push(CalibrateRow {
             n: 1024,
             naive_s: None,
-            blocked_s: 0.9,
             simd_s: 0.3,
             simd_gflops: 2.0 * 1024f64.powi(3) / 0.3 / 1e9,
         });

@@ -7,23 +7,20 @@
 //!   (compute) type, mirroring the paper's `CDFmt_ABFmt` naming.
 //! * [`Naive`] — the retained reference triple loop (the pre-existing
 //!   `run_simd` kernel, verbatim); the semantic ground truth.
-//! * [`Blocked`] — the cache-blocked, packed-panel, rayon-parallel
-//!   backend ([`MC`]×[`NC`]×[`KC`] tiling). Bit-identical to [`Naive`]
-//!   for every dtype triple because it preserves the per-element
-//!   ascending-k rounding chain; see `blocked.rs` for the argument.
-//! * [`Simd`] — the explicit-SIMD microkernel tier: AVX2
-//!   register-blocked microtiles (8-wide f32 / 4-wide f64, two vectors
-//!   per row) with a portable scalar-unrolled fallback, runtime
-//!   feature detection, and the [`SIMD_ENV`] escape hatch. Lanes carry
-//!   independent rounding chains, so it too is bit-identical to
-//!   [`Naive`]; see `simd.rs` for the double-rounding argument.
+//! * [`Simd`] — the packed, rayon-parallel tier ([`MC`]×[`NC`]×[`KC`]
+//!   BLIS-style tiling) for every dtype triple: AVX2 register-blocked
+//!   microtiles (8-wide f32 / 4-wide f64, two vectors per row) for
+//!   f32/f64 accumulation, and a portable scalar-unrolled microtile
+//!   for everything else, for hosts without AVX2, and under the
+//!   [`SIMD_ENV`] escape hatch. It preserves the per-element
+//!   ascending-k rounding chain, so it is bit-identical to [`Naive`];
+//!   see `simd.rs` for the double-rounding argument.
 //! * [`Auto`] — shape-aware dispatch over the ladder: the naive loop
-//!   at or below a thread-aware crossover edge, the best packed tier
-//!   (SIMD where supported, blocked otherwise) above it.
-//!   Bitwise-invisible because all backends agree bit for bit.
+//!   at or below a thread-aware crossover edge, the packed tier above
+//!   it. Bitwise-invisible because both rungs agree bit for bit.
 //! * Pool-backed scratch reuse — [`acquire`] / [`pool_stats`] /
-//!   [`reset_pool_stats`]: the packing-buffer pool the packed tiers
-//!   draw from, with hit/miss counters `mc-obs` exports as
+//!   [`reset_pool_stats`]: the packing-buffer pool the packed tier
+//!   draws from, with hit/miss counters `mc-obs` exports as
 //!   `compute.pool.*` metrics.
 //! * [`gemm_i8`] / [`gemm_i8_reference`] — the int8→int32 quantized
 //!   kernels (exact integer accumulation, so blocking is trivially
@@ -31,7 +28,7 @@
 //! * [`mma_accumulate`] — the fragment-shaped accumulation loop
 //!   `mc-wmma` uses, with hoisted conversions.
 //! * [`prof`] — host-plane profiling hooks: opt-in, session-scoped
-//!   region/phase/dispatch events over the tier ladder, consumed by
+//!   region/phase/dispatch events over the dispatch ladder, consumed by
 //!   `mc-hostprof` for unified traces and per-phase attribution.
 //! * [`calibrate`] — schema of the `CALIBRATE_crossover.json` artifact
 //!   the calibrate example writes and the `regress` gate diffs.
@@ -42,7 +39,6 @@
 #![deny(missing_docs)]
 
 mod auto;
-mod blocked;
 pub mod calibrate;
 mod int8;
 mod mma;
@@ -53,7 +49,6 @@ pub mod prof;
 mod simd;
 
 pub use auto::{crossover_from_env, default_crossover, effective_parallelism, Auto, CROSSOVER_ENV};
-pub use blocked::{Blocked, KC, MC, NC};
 pub use int8::{gemm_i8, gemm_i8_reference};
 pub use mma::mma_accumulate;
 pub use naive::Naive;
@@ -61,7 +56,7 @@ pub use params::{ComputeError, Epilogue, GemmParams, Trans};
 pub use pool::{
     acquire, pool_stats, reset_pool_stats, PoolElem, PoolStats, PooledVec, LOCAL_CAP, SHELF_CAP,
 };
-pub use simd::{Simd, SimdMode, MR, SIMD_ENV};
+pub use simd::{Simd, SimdMode, KC, MC, MR, NC, SIMD_ENV};
 
 use mc_types::Real;
 

@@ -2,8 +2,8 @@
 //!
 //! A direct `i/j/p` triple loop with one conversion per element access —
 //! exactly the kernel `mc_blas::functional::run_simd` shipped before the
-//! blocked backend existed. It stays in the crate as the semantic
-//! ground truth: [`crate::Blocked`] must match it bit for bit (the
+//! packed backend existed. It stays in the crate as the semantic
+//! ground truth: [`crate::Simd`] must match it bit for bit (the
 //! parity suite in `tests/compute_parity.rs` proves it), and the `perf`
 //! experiment measures speedup against it.
 

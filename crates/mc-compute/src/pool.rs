@@ -1,7 +1,7 @@
 //! Packing-buffer pool: recycled scratch `Vec`s for the GEMM hot path.
 //!
-//! The blocked and SIMD backends pack operand panels into scratch
-//! buffers on every call. Before this pool existed each call
+//! The packed backend packs operand panels into scratch buffers on
+//! every call. Before this pool existed each call
 //! round-tripped the allocator — tolerable for one large GEMM, a real
 //! toll for the repeated mid-size calls the batched BLAS entry points
 //! and the solver's BLAS-3 blocks issue. [`acquire`] hands out a

@@ -5,7 +5,7 @@
 //! host hot path — tier dispatch, panel packing, the microkernel sweep,
 //! the epilogue, and the rayon fan-out — was a black box. This module
 //! is the host-side producer: the [`Auto`] dispatcher opens a *region*
-//! per GEMM call, and the blocked/SIMD tiers mark named *phases* inside
+//! per GEMM call, and the packed tier marks named *phases* inside
 //! it, each tagged with the *lane* (caller thread or rayon worker) that
 //! executed it. `mc-hostprof` converts the collected [`HostEvent`]s
 //! into `mc-trace` span/counter events and attribution records.
@@ -132,7 +132,7 @@ pub enum HostEvent {
     Dispatch {
         /// Region this decision opened.
         region: u32,
-        /// Routed backend (`"naive"`, `"blocked"`, `"simd"`).
+        /// Routed backend (`"naive"` or `"simd"`, the packed tier).
         backend: &'static str,
         /// Problem rows.
         m: u32,
@@ -144,7 +144,7 @@ pub enum HostEvent {
         crossover_n: u32,
         /// Geometric-mean dimension `∛(m·n·k)` compared to the edge.
         geomean: f64,
-        /// Whether the SIMD tier topped the ladder.
+        /// Whether the packed tier's vector microtile ran.
         simd: bool,
         /// Configured rayon pool size at dispatch.
         threads: u32,

@@ -1,14 +1,17 @@
-//! The explicit-SIMD microkernel tier: vector-register GEMM with the
-//! naive kernel's exact rounding chain.
+//! The packed GEMM tier: one BLIS-style loop nest with a
+//! register-blocked microtile and the naive kernel's exact rounding
+//! chain, for every dtype triple.
 //!
-//! [`Simd`] is the innermost tier of the dispatch ladder (naive →
-//! blocked → blocked+SIMD). It keeps the blocked backend's BLIS-style
-//! packing but replaces the scalar-f64 microkernel with a
-//! register-blocked tile kernel on `std::arch` x86-64 intrinsics: an
-//! [`MR`]×16 f32 microtile on two 8-wide AVX2 vectors per row, and an
-//! [`MR`]×8 f64 microtile on two 4-wide vectors. A portable
-//! scalar-unrolled fallback with the identical loop nest runs when the
-//! host lacks AVX2 or when [`SIMD_ENV`] requests it.
+//! [`Simd`] is the packed rung of the dispatch ladder (naive →
+//! packed). BLIS-style three-level tiling — [`MC`]-row sub-panels,
+//! [`NC`]-wide column blocks, [`KC`]-deep k blocks — feeds packed
+//! operand panels to a register-blocked microtile. For f32 and f64
+//! accumulation the microtile runs on `std::arch` x86-64 intrinsics:
+//! an [`MR`]×16 f32 microtile on two 8-wide AVX2 vectors per row, and
+//! an [`MR`]×8 f64 microtile on two 4-wide vectors. A portable
+//! scalar-unrolled microtile with the identical loop nest runs when the
+//! host lacks AVX2, when [`SIMD_ENV`] requests it, and for every
+//! triple without a native kernel.
 //!
 //! ## Why vectorizing cannot change a bit
 //!
@@ -36,38 +39,48 @@
 //! in `compute_parity` pin this reduction order.
 //!
 //! The embeddability premise limits which dtype triples may take the
-//! f32 vector path: inputs must convert to f32 exactly (`f32`, `F16`,
-//! `Bf16` — not `f64`). [`Simd::supports`] encodes the rule and
-//! everything else falls back to [`Blocked`], so [`Simd`] is safe to
-//! call for any dtype triple.
+//! native kernels ([`Simd::supports`]): f64 accumulation takes any
+//! input, f32 accumulation requires inputs that convert to f32 exactly
+//! (`f32`, `F16`, `Bf16` — not `f64`). Every other triple — notably
+//! half-precision accumulation — runs the *chain* kernel through the
+//! same loop nest: operands pack as exact f64 and each step rounds the
+//! product and the sum through `CT` in software, the naive chain
+//! verbatim, on the portable microtile only.
 //!
 //! ## Parallel structure
 //!
-//! Unlike [`Blocked`] (which forks per `(jc, pc)` block), the SIMD
-//! tier enters **one** parallel region per call: the output rows are
-//! split into one contiguous chunk per rayon worker, and each task
+//! The tier enters **one** parallel region per call: the output rows
+//! are split into one contiguous chunk per rayon worker, and each task
 //! runs the full `pc → jc` loop nest over its rows, packing its own A
 //! and B panels from the pool. Row partitioning never touches a
 //! rounding chain, so results stay thread-count invariant, and the
-//! single fork/join lets the 4–8 thread cells scale past n = 1024
-//! where the per-block forking used to dominate.
+//! single fork/join lets the 4–8 thread cells scale past n = 1024.
 //!
 //! Packing buffers and the accumulator come from the crate's packing
 //! pool ([`crate::acquire`]), so steady-state repeated GEMMs perform
 //! no allocator round-trips.
 
+use core::marker::PhantomData;
+
 use mc_types::{DType, Real};
 use rayon::prelude::*;
 
-use crate::blocked::{apply_epilogue, KC, MC, NC};
-use crate::params::{ComputeError, GemmParams, Trans};
+use crate::params::{ComputeError, Epilogue, GemmParams, Trans};
 use crate::pool::{self, PoolElem};
 use crate::prof::{self, HostPhase, Lane};
-use crate::{Blocked, MatMul};
+use crate::MatMul;
 
-/// Environment variable controlling the SIMD tier: `off` removes it
-/// from the [`crate::Auto`] ladder, `portable` forces the
-/// scalar-unrolled kernel, anything else (or unset) auto-detects.
+/// Row-panel height: the `MC`-row sub-panels of a task's rows that
+/// keep the A walk L2-resident.
+pub const MC: usize = 64;
+/// Column-block width: the B panel strip kept hot per microtile sweep.
+pub const NC: usize = 128;
+/// k-block depth: packed-panel columns sized to stay in L1.
+pub const KC: usize = 256;
+
+/// Environment variable selecting the microtile: `off`, `0`,
+/// `portable` or `scalar` force the portable microtile; anything else
+/// (or unset) runs the vector microtile where the host has it.
 pub const SIMD_ENV: &str = "MC_GEMM_SIMD";
 
 /// Microtile height in rows; the register block holds `MR` independent
@@ -85,7 +98,7 @@ pub enum SimdMode {
     Portable,
 }
 
-/// The explicit-SIMD GEMM backend.
+/// The packed GEMM backend.
 #[derive(Clone, Copy, Debug)]
 pub struct Simd {
     mode: SimdMode,
@@ -100,12 +113,14 @@ impl Simd {
     }
 
     /// Backend configured from [`SIMD_ENV`]: the vector kernel when
-    /// available unless `portable` is requested.
+    /// available unless the variable asks for the portable one.
     pub fn from_env() -> Self {
         let portable = std::env::var(SIMD_ENV)
             .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "portable" || v == "scalar"
+                matches!(
+                    v.to_ascii_lowercase().as_str(),
+                    "off" | "0" | "portable" | "scalar"
+                )
             })
             .unwrap_or(false);
         if portable || !Self::vector_available() {
@@ -133,28 +148,24 @@ impl Simd {
         }
     }
 
-    /// Whether [`SIMD_ENV`] leaves the tier in the [`crate::Auto`]
-    /// dispatch ladder (`off`/`0` removes it).
-    pub fn enabled_from_env() -> bool {
-        std::env::var(SIMD_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v != "off" && v != "0"
-            })
-            .unwrap_or(true)
-    }
-
-    /// Whether the tier has a native kernel for this dtype pairing:
-    /// f64 accumulation takes any input dtype (every supported input
-    /// embeds exactly in f64), f32 accumulation requires inputs that
-    /// embed exactly in f32 (`f32`, `F16`, `Bf16`). Everything else —
-    /// notably half-precision accumulation — delegates to [`Blocked`].
+    /// Whether the tier has a native (vector-capable) kernel for this
+    /// dtype pairing: f64 accumulation takes any input dtype (every
+    /// supported input embeds exactly in f64), f32 accumulation
+    /// requires inputs that embed exactly in f32 (`f32`, `F16`,
+    /// `Bf16`). Everything else — notably half-precision accumulation
+    /// — runs the portable chain kernel.
     pub fn supports<AB: Real, CT: Real>() -> bool {
         match CT::DTYPE {
             DType::F64 => true,
             DType::F32 => matches!(AB::DTYPE, DType::F32 | DType::F16 | DType::Bf16),
             _ => false,
         }
+    }
+
+    /// Whether a GEMM of this dtype pairing runs the vector microtile
+    /// on this backend.
+    pub(crate) fn runs_vector<AB: Real, CT: Real>(&self) -> bool {
+        self.mode == SimdMode::Vector && Self::vector_available() && Self::supports::<AB, CT>()
     }
 }
 
@@ -164,30 +175,52 @@ impl Default for Simd {
     }
 }
 
-/// Compute scalars the microtile kernels are instantiated at. Sealed in
-/// practice: the pool backs only `f32`/`f64`, matching
-/// [`Simd::supports`].
-trait Kernel:
-    Real + PoolElem + Copy + core::ops::Add<Output = Self> + core::ops::Mul<Output = Self>
-{
+/// The compute rules the loop nest is instantiated at: the scalar the
+/// packed panels, the accumulator and the microtile hold, and one step
+/// of the rounding chain on it. The pool backs only `f32`/`f64`, so
+/// every kernel holds one of them.
+trait Kernel {
+    /// Packed-operand and accumulator scalar.
+    type Elem: Real + PoolElem;
+
     /// Microtile width in columns (two vector registers per row).
     const NR: usize;
 
+    /// One step of the chain: `acc + a·b` with the product and the sum
+    /// each rounded in the compute type.
+    fn mac(acc: Self::Elem, a: Self::Elem, b: Self::Elem) -> Self::Elem;
+
     /// Runs the full-height ([`MR`]-row) vector microtile:
     /// `tile[r][c] += a[r][p] · b[p][c]` for `p` ascending, with each
-    /// product and sum rounded in `Self` (separate mul and add — no
-    /// FMA).
+    /// product and sum rounded as [`Kernel::mac`] rounds them
+    /// (separate mul and add — no FMA).
     ///
     /// # Safety
     ///
     /// Caller must ensure the AVX2 feature is available, `a` covers
     /// `(MR-1)·a_stride + kc` elements, `b` covers `kc·NR`, and `tile`
     /// covers `MR·NR`.
-    unsafe fn tile_vector(a: &[Self], a_stride: usize, b: &[Self], tile: &mut [Self], kc: usize);
+    unsafe fn tile_vector(
+        a: &[Self::Elem],
+        a_stride: usize,
+        b: &[Self::Elem],
+        tile: &mut [Self::Elem],
+        kc: usize,
+    );
 }
 
 impl Kernel for f32 {
+    type Elem = f32;
+
     const NR: usize = 16;
+
+    #[inline(always)]
+    fn mac(acc: f32, a: f32, b: f32) -> f32 {
+        // Two statements on purpose: a separate mul and add is never
+        // contracted into an FMA under strict FP.
+        let prod = a * b;
+        acc + prod
+    }
 
     unsafe fn tile_vector(a: &[f32], a_stride: usize, b: &[f32], tile: &mut [f32], kc: usize) {
         #[cfg(target_arch = "x86_64")]
@@ -202,7 +235,15 @@ impl Kernel for f32 {
 }
 
 impl Kernel for f64 {
+    type Elem = f64;
+
     const NR: usize = 8;
+
+    #[inline(always)]
+    fn mac(acc: f64, a: f64, b: f64) -> f64 {
+        let prod = a * b;
+        acc + prod
+    }
 
     unsafe fn tile_vector(a: &[f64], a_stride: usize, b: &[f64], tile: &mut [f64], kc: usize) {
         #[cfg(target_arch = "x86_64")]
@@ -213,6 +254,30 @@ impl Kernel for f64 {
         {
             tile_portable::<f64>(a, a_stride, b, tile, kc, MR);
         }
+    }
+}
+
+/// The chain kernel for triples without a native one: operands pack as
+/// exact f64, and each step rounds the product and the sum through
+/// `CT` — the naive chain verbatim. The accumulator holds the
+/// `CT`-rounded values in f64, which embeds every `CT` exactly.
+struct Chain<CT>(PhantomData<CT>);
+
+impl<CT: Real> Kernel for Chain<CT> {
+    type Elem = f64;
+
+    const NR: usize = 8;
+
+    #[inline(always)]
+    fn mac(acc: f64, a: f64, b: f64) -> f64 {
+        let prod = CT::from_f64(a * b);
+        CT::from_f64(acc + prod.to_f64()).to_f64()
+    }
+
+    /// No vector microtile: the chain rounds through `CT` in software,
+    /// so the dispatch never sets the vector flag for it.
+    unsafe fn tile_vector(a: &[f64], a_stride: usize, b: &[f64], tile: &mut [f64], kc: usize) {
+        tile_portable::<Self>(a, a_stride, b, tile, kc, MR);
     }
 }
 
@@ -312,13 +377,14 @@ unsafe fn tile_f64_avx2(a: &[f64], a_stride: usize, b: &[f64], tile: &mut [f64],
 
 /// The portable microtile: the same loop nest as the vector kernels
 /// with `mr` valid rows (also the remainder-row path under vector
-/// mode). The column loop carries independent rounding chains, so the
-/// compiler may auto-vectorize it without any reassociation.
+/// mode, and the only path of the chain kernel). The column loop
+/// carries independent rounding chains, so the compiler may
+/// auto-vectorize it without any reassociation.
 fn tile_portable<K: Kernel>(
-    a: &[K],
+    a: &[K::Elem],
     a_stride: usize,
-    b: &[K],
-    tile: &mut [K],
+    b: &[K::Elem],
+    tile: &mut [K::Elem],
     kc: usize,
     mr: usize,
 ) {
@@ -328,17 +394,15 @@ fn tile_portable<K: Kernel>(
             let av = a[r * a_stride + p];
             let trow = &mut tile[r * K::NR..(r + 1) * K::NR];
             for (t, &bv) in trow.iter_mut().zip(brow) {
-                // Two statements on purpose: a separate mul and add is
-                // never contracted into an FMA under strict FP.
-                let prod = av * bv;
-                *t = *t + prod;
+                *t = K::mac(*t, av, bv);
             }
         }
     }
 }
 
 /// Packs `op(A)[row0..row0+mc_len][pc..pc+kc_len]` row-major into
-/// `out` in the compute scalar (exact by [`Simd::supports`]).
+/// `out` in the kernel's scalar (exact by [`Simd::supports`], and
+/// always exact for the chain kernel's f64).
 fn pack_a_k<AB: Real, K: Kernel>(
     params: &GemmParams,
     a: &[AB],
@@ -346,7 +410,7 @@ fn pack_a_k<AB: Real, K: Kernel>(
     mc_len: usize,
     pc: usize,
     kc_len: usize,
-    out: &mut Vec<K>,
+    out: &mut Vec<K::Elem>,
 ) {
     out.clear();
     match params.trans_a {
@@ -356,14 +420,16 @@ fn pack_a_k<AB: Real, K: Kernel>(
                 out.extend(
                     a[base..base + kc_len]
                         .iter()
-                        .map(|x| K::from_f64(x.to_f64())),
+                        .map(|x| K::Elem::from_f64(x.to_f64())),
                 );
             }
         }
         Trans::Trans => {
             for il in 0..mc_len {
                 for pl in 0..kc_len {
-                    out.push(K::from_f64(a[(pc + pl) * params.m + row0 + il].to_f64()));
+                    out.push(K::Elem::from_f64(
+                        a[(pc + pl) * params.m + row0 + il].to_f64(),
+                    ));
                 }
             }
         }
@@ -381,7 +447,7 @@ fn pack_b_k<AB: Real, K: Kernel>(
     kc_len: usize,
     jc: usize,
     nc_len: usize,
-    out: &mut Vec<K>,
+    out: &mut Vec<K::Elem>,
 ) {
     out.clear();
     for jl in (0..nc_len).step_by(K::NR) {
@@ -395,9 +461,9 @@ fn pack_b_k<AB: Real, K: Kernel>(
                         Trans::None => p * params.n + j,
                         Trans::Trans => j * params.k + p,
                     };
-                    K::from_f64(b[idx].to_f64())
+                    K::Elem::from_f64(b[idx].to_f64())
                 } else {
-                    K::zero()
+                    K::Elem::zero()
                 };
                 out.push(v);
             }
@@ -410,19 +476,19 @@ fn pack_b_k<AB: Real, K: Kernel>(
 /// within a sub-panel the B strip stays hot across the `MR`-row tiles.
 #[allow(clippy::too_many_arguments)]
 fn tiles<K: Kernel>(
-    acc_rows: &mut [K],
+    acc_rows: &mut [K::Elem],
     n: usize,
     jc: usize,
     nc_len: usize,
     kc_len: usize,
-    a_panel: &[K],
-    b_panel: &[K],
+    a_panel: &[K::Elem],
+    b_panel: &[K::Elem],
     vector: bool,
 ) {
     let mc_len = acc_rows.len() / n;
     let strip_len = kc_len * K::NR;
     // Stack tile sized for the widest kernel (f32: 4×16).
-    let mut tile = [K::zero(); MR * 16];
+    let mut tile = [K::Elem::zero(); MR * 16];
     for ic in (0..mc_len).step_by(MC) {
         let ic_len = MC.min(mc_len - ic);
         for (strip, jl) in (0..nc_len).step_by(K::NR).enumerate() {
@@ -437,7 +503,7 @@ fn tiles<K: Kernel>(
                         *t = acc_rows[base + c_ix];
                     }
                     for t in tile[r * K::NR + nr_len..(r + 1) * K::NR].iter_mut() {
-                        *t = K::zero();
+                        *t = K::Elem::zero();
                     }
                 }
                 let a_rows = &a_panel[row * kc_len..(row + mr_len) * kc_len];
@@ -462,11 +528,11 @@ fn tiles<K: Kernel>(
     }
 }
 
-/// The monomorphic GEMM body at compute scalar `K`: one parallel
-/// region over contiguous row chunks (one per worker), each task
-/// packing its own pooled panels and walking `pc` ascending so every
-/// element sees the naive rounding chain.
-fn gemm_k<AB: Real, CD: Real, K: Kernel>(
+/// The monomorphic GEMM body at kernel `K`: one parallel region over
+/// contiguous row chunks (one per worker), each task packing its own
+/// pooled panels and walking `pc` ascending so every element sees the
+/// naive rounding chain; the epilogue then rounds through `CT`.
+fn gemm_k<AB: Real, CD: Real, CT: Real, K: Kernel>(
     params: &GemmParams,
     a: &[AB],
     b: &[AB],
@@ -485,8 +551,8 @@ fn gemm_k<AB: Real, CD: Real, K: Kernel>(
     let region = prof::current_region();
     let on = prof::enabled() && region != 0;
 
-    let mut acc = pool::acquire::<K>(m * n);
-    acc.resize(m * n, K::zero());
+    let mut acc = pool::acquire::<K::Elem>(m * n);
+    acc.resize(m * n, K::Elem::zero());
     let workers = rayon::current_num_threads().max(1);
     // One chunk per worker, whole MR-row groups. Partitioning splits
     // the *output*, so it cannot touch any rounding chain: results are
@@ -500,12 +566,12 @@ fn gemm_k<AB: Real, CD: Real, K: Kernel>(
         .for_each(|(chunk_idx, acc_rows)| {
             let row0 = chunk_idx * chunk_rows;
             let mc_len = acc_rows.len() / n;
-            let mut a_panel = pool::acquire::<K>(mc_len * kc_max);
-            let mut b_panel = pool::acquire::<K>(bp_cap);
+            let mut a_panel = pool::acquire::<K::Elem>(mc_len * kc_max);
+            let mut b_panel = pool::acquire::<K::Elem>(bp_cap);
             for pc in (0..k).step_by(KC) {
                 let kc_len = KC.min(k - pc);
                 let t0 = on.then(prof::now_s);
-                pack_a_k(params, a, row0, mc_len, pc, kc_len, &mut a_panel);
+                pack_a_k::<AB, K>(params, a, row0, mc_len, pc, kc_len, &mut a_panel);
                 if let Some(t0) = t0 {
                     prof::phase(
                         region,
@@ -517,7 +583,7 @@ fn gemm_k<AB: Real, CD: Real, K: Kernel>(
                 for jc in (0..n).step_by(NC) {
                     let nc_len = NC.min(n - jc);
                     let t0 = on.then(prof::now_s);
-                    pack_b_k(params, b, pc, kc_len, jc, nc_len, &mut b_panel);
+                    pack_b_k::<AB, K>(params, b, pc, kc_len, jc, nc_len, &mut b_panel);
                     if let Some(t0) = t0 {
                         prof::phase(
                             region,
@@ -527,7 +593,7 @@ fn gemm_k<AB: Real, CD: Real, K: Kernel>(
                         );
                     }
                     let t0 = on.then(prof::now_s);
-                    tiles(acc_rows, n, jc, nc_len, kc_len, &a_panel, &b_panel, vector);
+                    tiles::<K>(acc_rows, n, jc, nc_len, kc_len, &a_panel, &b_panel, vector);
                     if let Some(t0) = t0 {
                         prof::phase(
                             region,
@@ -543,8 +609,48 @@ fn gemm_k<AB: Real, CD: Real, K: Kernel>(
         prof::phase(region, HostPhase::Fanout, Lane::Call(prof::call_lane()), t0);
     }
 
-    apply_epilogue::<K, CD>(params, &acc, c, d);
+    apply_epilogue::<CT, K::Elem, CD>(params, &acc, c, d);
     Ok(())
+}
+
+/// The α/β epilogue: `d ← epi(α·acc, β·c)` over full rows in parallel,
+/// with both products rounded in the compute type `CT`. The
+/// accumulator holds `CT`-rounded values in any scalar that embeds
+/// them exactly.
+fn apply_epilogue<CT: Real, A: Real, CD: Real>(
+    params: &GemmParams,
+    acc: &[A],
+    c: &[CD],
+    d: &mut [CD],
+) {
+    let (m, n) = (params.m, params.n);
+    let (alpha, beta) = (params.alpha, params.beta);
+    let epilogue = params.epilogue;
+    let region = prof::current_region();
+    let t0 = (prof::enabled() && region != 0).then(prof::now_s);
+    d[..m * n]
+        .par_chunks_mut(n)
+        .enumerate()
+        .for_each(|(i, drow)| {
+            for (j, out) in drow.iter_mut().enumerate() {
+                let ab = CT::from_f64(alpha * acc[i * n + j].to_f64());
+                let bc = CT::from_f64(beta * c[i * n + j].to_f64());
+                *out = match epilogue {
+                    Epilogue::Direct => CD::from_f64(ab.to_f64() + bc.to_f64()),
+                    Epilogue::ComputeRounded => {
+                        CD::from_f64(CT::from_f64(ab.to_f64() + bc.to_f64()).to_f64())
+                    }
+                };
+            }
+        });
+    if let Some(t0) = t0 {
+        prof::phase(
+            region,
+            HostPhase::Epilogue,
+            Lane::Call(prof::call_lane()),
+            t0,
+        );
+    }
 }
 
 impl MatMul for Simd {
@@ -565,17 +671,16 @@ impl MatMul for Simd {
         CD: Real,
         CT: Real,
     {
-        if !Self::supports::<AB, CT>() {
-            return Blocked.gemm::<AB, CD, CT>(params, a, b, c, d);
-        }
-        let vector = self.mode == SimdMode::Vector && Self::vector_available();
-        // `supports` pins CT's dtype to f32 or f64; instantiating the
-        // kernel at the concrete scalar of that dtype computes the
-        // identical chain (the dtype determines the arithmetic).
+        let vector = self.runs_vector::<AB, CT>();
+        // A native kernel runs at the concrete scalar of CT's dtype,
+        // which computes the identical chain (the dtype determines the
+        // arithmetic); every other triple runs the chain kernel.
         match CT::DTYPE {
-            DType::F32 => gemm_k::<AB, CD, f32>(params, a, b, c, d, vector),
-            DType::F64 => gemm_k::<AB, CD, f64>(params, a, b, c, d, vector),
-            _ => unreachable!("supports() gates the compute dtype"),
+            DType::F32 if Self::supports::<AB, CT>() => {
+                gemm_k::<AB, CD, CT, f32>(params, a, b, c, d, vector)
+            }
+            DType::F64 => gemm_k::<AB, CD, CT, f64>(params, a, b, c, d, vector),
+            _ => gemm_k::<AB, CD, CT, Chain<CT>>(params, a, b, c, d, false),
         }
     }
 }
@@ -630,8 +735,10 @@ mod tests {
                     parity::<f32, f32, f32>(&backend, &p);
                     parity::<F16, f32, f32>(&backend, &p);
                     parity::<Bf16, Bf16, f32>(&backend, &p);
-                    // Unsupported combos must fall back, still bitwise.
+                    // Triples without a native kernel run the chain
+                    // kernel, still bitwise.
                     parity::<F16, F16, F16>(&backend, &p);
+                    parity::<Bf16, Bf16, Bf16>(&backend, &p);
                     parity::<f64, f32, f32>(&backend, &p);
                 }
             }
@@ -650,6 +757,7 @@ mod tests {
                 .with_transposes(ta, tb);
             parity::<f32, f32, f32>(&Simd::from_env(), &p);
             parity::<f64, f64, f64>(&Simd::from_env(), &p);
+            parity::<F16, F16, F16>(&Simd::from_env(), &p);
         }
     }
 
@@ -661,7 +769,10 @@ mod tests {
         assert!(Simd::supports::<f64, f64>());
         assert!(Simd::supports::<f32, f64>());
         assert!(!Simd::supports::<f64, f32>(), "f64 inputs do not embed");
-        assert!(!Simd::supports::<F16, F16>(), "no half-precision chains");
+        assert!(
+            !Simd::supports::<F16, F16>(),
+            "half-precision accumulation runs the chain kernel"
+        );
     }
 
     #[test]
@@ -694,6 +805,20 @@ mod tests {
             .unwrap();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
+    }
+
+    #[test]
+    fn oversized_output_buffer_is_left_untouched_past_mn() {
+        let p = GemmParams::new(2, 2, 2).with_scaling(1.0, 0.0);
+        let a = vec![1.0f64; 4];
+        let b = vec![1.0f64; 4];
+        let c = vec![0.0f64; 4];
+        let mut d = vec![-7.0f64; 9];
+        Simd::from_env()
+            .gemm::<f64, f64, f64>(&p, &a, &b, &c, &mut d)
+            .unwrap();
+        assert_eq!(&d[..4], &[2.0, 2.0, 2.0, 2.0]);
+        assert!(d[4..].iter().all(|&x| x == -7.0));
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub struct HostAttributionRecord {
     pub schema_version: u32,
     /// Region id from the profile (unique per process run).
     pub region: u32,
-    /// Routed backend (`naive`, `blocked`, `simd`).
+    /// Routed backend (`naive`, or `simd` for the packed tier).
     pub backend: String,
     /// Problem rows.
     pub m: u64,
@@ -245,9 +245,9 @@ pub struct HostAttributionRecord {
     pub threads: u64,
     /// Distinct worker lanes observed in this region. The vendored
     /// rayon's scoped fan-outs spawn fresh threads per parallel region,
-    /// so a blocked-tier region with many fan-outs can observe more
-    /// lanes than the pool size; efficiency therefore normalizes by
-    /// `threads`, not `workers`.
+    /// so a region with several fan-outs (the packed tier's row split,
+    /// then its epilogue) can observe more lanes than the pool size;
+    /// efficiency therefore normalizes by `threads`, not `workers`.
     pub workers: u64,
     /// Region wall time in seconds.
     pub wall_s: f64,
@@ -255,7 +255,7 @@ pub struct HostAttributionRecord {
     pub crossover_n: u64,
     /// Geometric-mean dimension `∛(m·n·k)`.
     pub geomean_n: f64,
-    /// Whether the SIMD tier topped the ladder at dispatch.
+    /// Whether the packed tier's vector microtile ran in this region.
     pub simd: bool,
     /// Seconds packing A row panels (worker lanes).
     pub pack_a_s: f64,

@@ -105,7 +105,7 @@ impl Deserialize for HostBottleneck {
 pub struct HostVerdict {
     /// Region id from the attribution record.
     pub region: u32,
-    /// Routed backend (`naive`, `blocked`, `simd`).
+    /// Routed backend (`naive`, or `simd` for the packed tier).
     pub backend: String,
     /// The verdict.
     pub bottleneck: HostBottleneck,

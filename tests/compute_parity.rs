@@ -1,9 +1,9 @@
 //! ULP-parity tests for the packed `mc-compute` GEMM kernels.
 //!
 //! The optimization contract (docs/PERFORMANCE.md) is that the packed
-//! tiers — the cache-blocked kernel and the explicit-SIMD microkernel,
-//! in both its vector and portable modes — reorder *loops*, never the
-//! per-element rounding chain: for every dtype combination the result
+//! tier — with its vector and its portable microtile, and the chain
+//! kernel it runs for triples without a native one — reorders *loops*,
+//! never the per-element rounding chain: for every dtype combination the result
 //! is bitwise-identical to the retained naive reference — trivially
 //! within the 2-ULP acceptance band — for any shape, transpose pair,
 //! scaling, epilogue, and worker thread count. A golden test
@@ -12,7 +12,7 @@
 //! drifting together.
 
 use amd_matrix_cores::compute::{
-    gemm_i8, gemm_i8_reference, Blocked, Epilogue, GemmParams, MatMul, Naive, Simd, SimdMode, Trans,
+    gemm_i8, gemm_i8_reference, Epilogue, GemmParams, MatMul, Naive, Simd, SimdMode, Trans,
 };
 use amd_matrix_cores::types::{ulp_distance_f32, Bf16, Real, F16};
 use proptest::prelude::*;
@@ -51,37 +51,40 @@ fn assert_parity<AB: Real, CD: Real, CT: Real>(
         .with_transposes(trans.0, trans.1)
         .with_scaling(alpha, beta)
         .with_epilogue(epilogue);
+    assert_tiers_match::<AB, CD, CT>(&params, &a, &b, &c)
+}
 
+/// Runs one problem through the naive reference and both packed
+/// microtiles and asserts bitwise equality (via the exact `to_f64`
+/// injection) on every output element.
+fn assert_tiers_match<AB: Real, CD: Real, CT: Real>(
+    params: &GemmParams,
+    a: &[AB],
+    b: &[AB],
+    c: &[CD],
+) -> Result<(), TestCaseError> {
+    let (m, n, k) = (params.m, params.n, params.k);
     let mut d_naive = vec![CD::zero(); m * n];
     Naive
-        .gemm::<AB, CD, CT>(&params, &a, &b, &c, &mut d_naive)
+        .gemm::<AB, CD, CT>(params, a, b, c, &mut d_naive)
         .expect("naive kernel accepts well-formed problems");
 
-    // Every packed tier must match the naive chain bit for bit: the
-    // scalar blocked kernel, the SIMD microkernel in whatever mode the
-    // host supports, and its portable mode explicitly (so runners with
-    // AVX2 still cover the fallback). Unsupported dtype pairings fall
-    // back to Blocked inside Simd, which keeps the assertion honest
-    // for every combination.
+    // The packed tier must match the naive chain bit for bit: in
+    // whatever mode the host supports, and in its portable mode
+    // explicitly (so runners with AVX2 still cover the fallback).
+    // Triples without a native kernel run the chain kernel in both
+    // modes, which keeps the assertion honest for every combination.
     let tier_out = |kernel: &dyn Fn(&mut [CD])| {
         let mut d = vec![CD::zero(); m * n];
         kernel(&mut d);
         d
     };
-    let tiers: [(&str, Vec<CD>); 3] = [
-        (
-            "blocked",
-            tier_out(&|d| {
-                Blocked
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
-                    .expect("blocked kernel accepts well-formed problems")
-            }),
-        ),
+    let tiers: [(&str, Vec<CD>); 2] = [
         (
             "simd",
             tier_out(&|d| {
                 Simd::from_env()
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
+                    .gemm::<AB, CD, CT>(params, a, b, c, d)
                     .expect("simd kernel accepts well-formed problems")
             }),
         ),
@@ -89,7 +92,7 @@ fn assert_parity<AB: Real, CD: Real, CT: Real>(
             "simd-portable",
             tier_out(&|d| {
                 Simd::with_mode(SimdMode::Portable)
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
+                    .gemm::<AB, CD, CT>(params, a, b, c, d)
                     .expect("portable simd kernel accepts well-formed problems")
             }),
         ),
@@ -122,6 +125,21 @@ const TRANS: [(Trans, Trans); 4] = [
 ];
 
 const EPILOGUES: [Epilogue; 2] = [Epilogue::Direct, Epilogue::ComputeRounded];
+
+/// Deterministic fill in [-4, 4) with full mantissas: 53-bit values
+/// rounded once into `T`, so products and sums of them are inexact in
+/// every compute type (unlike [`lcg_fill`]'s grid, whose small products
+/// are exact even in f16).
+fn fine_fill<T: Real>(len: usize, mut state: u64) -> Vec<T> {
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            T::from_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0)
+        })
+        .collect()
+}
 
 proptest! {
     /// f64 accumulation: random odd shapes (k = 0 included), all four
@@ -169,6 +187,46 @@ proptest! {
         t in 0usize..4, e in 0usize..2, seed in any::<u64>(),
     ) {
         assert_parity::<Bf16, f32, f32>(m, n, k, TRANS[t], 1.0, 1.0, EPILOGUES[e], seed)?;
+    }
+
+    /// f64 inputs with an f32 compute type: the inputs do not embed in
+    /// f32, so this triple runs the chain kernel. Full-mantissa f64
+    /// operands make every product and sum inexact in f32, so packing
+    /// the operands at f32 (instead of exact f64) would show.
+    #[test]
+    fn f64_input_f32_compute_parity(
+        m in 1usize..24, n in 1usize..24, k in 0usize..24,
+        t in 0usize..4, e in 0usize..2, seed in any::<u64>(),
+    ) {
+        let a = fine_fill::<f64>(m * k, seed ^ 0xA11CE5);
+        let b = fine_fill::<f64>(k * n, seed ^ 0xB0B51ED);
+        let c = lcg_fill::<f32>(m * n, seed ^ 0xCAFE);
+        let params = GemmParams::new(m, n, k)
+            .with_transposes(TRANS[t].0, TRANS[t].1)
+            .with_scaling(0.75, -1.5)
+            .with_epilogue(EPILOGUES[e]);
+        assert_tiers_match::<f64, f32, f32>(&params, &a, &b, &c)?;
+    }
+
+    /// Half-precision chains on full-mantissa operands: every product
+    /// and partial sum rounds in f16/bf16, so a chain kernel that
+    /// skipped either rounding would show.
+    #[test]
+    fn half_chain_parity_with_inexact_products(
+        m in 1usize..20, n in 1usize..20, k in 0usize..20,
+        t in 0usize..4, seed in any::<u64>(),
+    ) {
+        let params = GemmParams::new(m, n, k)
+            .with_transposes(TRANS[t].0, TRANS[t].1)
+            .with_scaling(1.0, 0.5);
+        let c16 = lcg_fill::<F16>(m * n, seed ^ 0xCAFE);
+        let a16 = fine_fill::<F16>(m * k, seed ^ 0xA11CE5);
+        let b16 = fine_fill::<F16>(k * n, seed ^ 0xB0B51ED);
+        assert_tiers_match::<F16, F16, F16>(&params, &a16, &b16, &c16)?;
+        let cb = lcg_fill::<Bf16>(m * n, seed ^ 0xCAFE);
+        let ab = fine_fill::<Bf16>(m * k, seed ^ 0xA11CE5);
+        let bb = fine_fill::<Bf16>(k * n, seed ^ 0xB0B51ED);
+        assert_tiers_match::<Bf16, Bf16, Bf16>(&params, &ab, &bb, &cb)?;
     }
 
     /// int8: the blocked integer kernel is exact (i32 accumulation is
@@ -233,54 +291,69 @@ fn f32_outputs_within_two_ulp() {
     let c = lcg_fill::<f32>(m * n, 13);
     let params = GemmParams::new(m, n, k).with_epilogue(Epilogue::ComputeRounded);
     let mut d_naive = vec![0.0f32; m * n];
-    let mut d_blocked = vec![0.0f32; m * n];
+    let mut d_simd = vec![0.0f32; m * n];
     Naive
         .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_naive)
         .unwrap();
-    Blocked
-        .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_blocked)
+    Simd::from_env()
+        .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_simd)
         .unwrap();
-    for (x, y) in d_naive.iter().zip(&d_blocked) {
+    for (x, y) in d_naive.iter().zip(&d_simd) {
         assert!(ulp_distance_f32(*x, *y) <= 2, "{x} vs {y}");
     }
 }
 
+/// Output bits of one GEMM on global pools of 1, 4 and 8 workers.
+fn bits_per_pool_size<AB: Real, CD: Real, CT: Real>(
+    backend: Simd,
+    params: &GemmParams,
+) -> Vec<Vec<u64>> {
+    let a = lcg_fill::<AB>(params.m * params.k, 101);
+    let b = lcg_fill::<AB>(params.k * params.n, 103);
+    let c = lcg_fill::<CD>(params.m * params.n, 107);
+    [1, 4, 8]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .expect("pool rebuild");
+            let mut d = vec![CD::zero(); params.m * params.n];
+            backend
+                .gemm::<AB, CD, CT>(params, &a, &b, &c, &mut d)
+                .unwrap();
+            d.into_iter().map(|x| x.to_f64().to_bits()).collect()
+        })
+        .collect()
+}
+
 /// Results are invariant under the rayon worker count: re-sizing the
-/// global pool between runs must not change a single bit. (The stub
-/// pool honors the most recent `build_global`, which is what makes this
-/// testable in-process.)
+/// global pool between runs must not change a single bit — for the
+/// vector microtile, the portable microtile, and the half-precision
+/// chain kernel, all of which split the output rows per worker. (The
+/// stub pool honors the most recent `build_global`, which is what
+/// makes this testable in-process.)
 #[test]
 fn thread_count_does_not_change_results() {
-    let (m, n, k) = (130, 70, 300);
-    let a = lcg_fill::<f32>(m * k, 101);
-    let b = lcg_fill::<f32>(k * n, 103);
-    let c = lcg_fill::<f32>(m * n, 107);
-    let params = GemmParams::new(m, n, k).with_epilogue(Epilogue::ComputeRounded);
-
-    let run = |threads: usize, simd: bool| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .expect("pool rebuild");
-        let mut d = vec![0.0f32; m * n];
-        if simd {
-            Simd::from_env()
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-        } else {
-            Blocked
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-        }
-        d.into_iter().map(f32::to_bits).collect::<Vec<u32>>()
-    };
-
-    for simd in [false, true] {
-        let single = run(1, simd);
-        let quad = run(4, simd);
-        let eight = run(8, simd);
-        assert_eq!(single, quad, "simd={simd}");
-        assert_eq!(single, eight, "simd={simd}");
+    let params = GemmParams::new(130, 70, 300).with_epilogue(Epilogue::ComputeRounded);
+    let vector = Simd::with_mode(SimdMode::Vector);
+    let portable = Simd::with_mode(SimdMode::Portable);
+    for (name, runs) in [
+        (
+            "vector",
+            bits_per_pool_size::<f32, f32, f32>(vector, &params),
+        ),
+        (
+            "portable",
+            bits_per_pool_size::<f32, f32, f32>(portable, &params),
+        ),
+        (
+            "f16-chain",
+            bits_per_pool_size::<F16, F16, F16>(vector, &params),
+        ),
+    ] {
+        assert_eq!(runs[0], runs[1], "{name}: 1 vs 4 workers");
+        assert_eq!(runs[0], runs[2], "{name}: 1 vs 8 workers");
     }
 }
 

@@ -59,14 +59,12 @@ fn run_auto(auto: &Auto, m: usize, n: usize, k: usize, seed: u64, traced: bool) 
     d.into_iter().map(f32::to_bits).collect()
 }
 
-/// The three routed tiers, each forced via the crossover edge: a huge
+/// The two routed tiers, each forced via the crossover edge: a huge
 /// edge routes everything to the naive loop, edge zero routes to the
-/// best packed tier (SIMD where the host supports it), and edge zero
-/// without SIMD pins the scalar blocked tier.
-fn tiers() -> [(&'static str, Auto); 3] {
+/// packed tier (whose prof hooks both microtiles share).
+fn tiers() -> [(&'static str, Auto); 2] {
     [
         ("naive", Auto::with_crossover(usize::MAX)),
-        ("blocked", Auto::with_crossover(0).without_simd()),
         ("packed", Auto::with_crossover(0)),
     ]
 }
@@ -125,7 +123,7 @@ fn batched_blas_is_bitwise_identical_under_tracing() {
 
 /// Whatever worker interleaving each pool size produces, the converted
 /// host timeline stays structurally sound: phases nest inside their
-/// region, lanes never self-overlap, and the packed tiers contribute
+/// region, lanes never self-overlap, and the packed tier contributes
 /// at least one worker-track span. (The vendored rayon honors the most
 /// recent `build_global`, which is what makes the sweep testable
 /// in-process.)

@@ -2,11 +2,12 @@
 //!
 //! Asserts the two load-bearing properties of the tier at the bench
 //! matrix's headline cell (1024³, one thread, f32): the dispatch
-//! actually selects it, and it beats the scalar blocked kernel by at
-//! least 1.5× (the committed calibration shows ~10×, so 1.5× is a
-//! regression tripwire, not a target). On a runner without AVX2 the
-//! vector tier cannot run; the test prints a notice and passes, so
-//! the gate only ever fails for a real regression.
+//! actually selects the packed tier, and its vector microtile beats
+//! the portable microtile by at least 1.5× (measured 2.8–3.7× on a
+//! 2-vCPU AVX2 Xeon guest, so 1.5× is a regression tripwire, not a
+//! target). On a runner without AVX2 the vector microtile cannot run;
+//! the test prints a notice and passes, so the gate only ever fails
+//! for a real regression.
 //!
 //! The test is `#[ignore]`d because it times a full-dimension GEMM;
 //! CI runs it explicitly with `-- --ignored`.
@@ -14,7 +15,7 @@
 use std::time::Instant;
 
 use amd_matrix_cores::compute::{
-    Blocked, Epilogue, GemmParams, MatMul, Simd, CROSSOVER_ENV, SIMD_ENV,
+    Epilogue, GemmParams, MatMul, Simd, SimdMode, CROSSOVER_ENV, SIMD_ENV,
 };
 
 /// Deterministic pseudo-random fill in [-1, 1) (xorshift64*).
@@ -30,12 +31,12 @@ fn fill(buf: &mut [f32], mut state: u64) {
 
 #[test]
 #[ignore = "full-dimension perf smoke; CI runs it with -- --ignored"]
-fn simd_tier_is_selected_and_beats_blocked_at_1024() {
+fn simd_tier_is_selected_and_vector_beats_portable_at_1024() {
     if !Simd::vector_available() {
         eprintln!("notice: runner lacks AVX2 — SIMD smoke skipped");
         return;
     }
-    if !Simd::enabled_from_env() || std::env::var(CROSSOVER_ENV).is_ok() {
+    if Simd::from_env().mode() != SimdMode::Vector || std::env::var(CROSSOVER_ENV).is_ok() {
         eprintln!("notice: {SIMD_ENV}/{CROSSOVER_ENV} override in force — SIMD smoke skipped");
         return;
     }
@@ -49,7 +50,7 @@ fn simd_tier_is_selected_and_beats_blocked_at_1024() {
     assert_eq!(
         auto.routed_name::<f32, f32>(&params),
         "simd",
-        "the dispatch must put the SIMD tier on top at N={n} (edge {})",
+        "the dispatch must route N={n} to the packed tier (edge {})",
         auto.crossover_n()
     );
 
@@ -59,36 +60,36 @@ fn simd_tier_is_selected_and_beats_blocked_at_1024() {
     fill(&mut b, 0xD1B5_4A32_D192_ED03);
     let c = vec![0.0f32; n * n];
 
-    let mut blocked_s = f64::INFINITY;
-    let mut simd_s = f64::INFINITY;
-    let mut d_blocked = vec![0.0f32; n * n];
-    let mut d_simd = vec![0.0f32; n * n];
+    let mut portable_s = f64::INFINITY;
+    let mut vector_s = f64::INFINITY;
+    let mut d_portable = vec![0.0f32; n * n];
+    let mut d_vector = vec![0.0f32; n * n];
     for _ in 0..2 {
         let start = Instant::now();
-        Blocked
-            .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_blocked)
+        Simd::with_mode(SimdMode::Portable)
+            .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_portable)
             .unwrap();
-        blocked_s = blocked_s.min(start.elapsed().as_secs_f64());
+        portable_s = portable_s.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        Simd::from_env()
-            .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_simd)
+        Simd::with_mode(SimdMode::Vector)
+            .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d_vector)
             .unwrap();
-        simd_s = simd_s.min(start.elapsed().as_secs_f64());
+        vector_s = vector_s.min(start.elapsed().as_secs_f64());
     }
 
-    // Same rounding chain, different loop order: the speedup must not
-    // come at the cost of a single bit.
+    // Same rounding chain, different instructions: the speedup must
+    // not come at the cost of a single bit.
     assert!(
-        d_blocked
+        d_portable
             .iter()
-            .zip(&d_simd)
+            .zip(&d_vector)
             .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "SIMD tier diverged from the blocked kernel"
+        "vector microtile diverged from the portable microtile"
     );
     assert!(
-        simd_s * 1.5 <= blocked_s,
-        "SIMD tier must be >= 1.5x the blocked kernel at {n}^3/1-thread f32: \
-         simd {simd_s:.4}s vs blocked {blocked_s:.4}s ({:.2}x)",
-        blocked_s / simd_s
+        vector_s * 1.5 <= portable_s,
+        "vector microtile must be >= 1.5x the portable one at {n}^3/1-thread f32: \
+         vector {vector_s:.4}s vs portable {portable_s:.4}s ({:.2}x)",
+        portable_s / vector_s
     );
 }
